@@ -19,6 +19,7 @@ import (
 	"minesweeper"
 	"minesweeper/internal/catalog"
 	"minesweeper/internal/certificate"
+	"minesweeper/internal/reltree"
 	"minesweeper/internal/shard"
 	"minesweeper/internal/storage"
 )
@@ -1217,6 +1218,12 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"health":              health,
 		"alloc_objects_total": allocObjs,
 		"alloc_bytes_total":   allocBytes,
+		// Process-wide index construction: every search tree built, and
+		// how many of those were merged forward from a cached index after
+		// a mutation rather than re-sorted. Writes that keep hitting the
+		// merge path move both counters together.
+		"index_builds_total": reltree.Builds(),
+		"index_merges_total": reltree.Merges(),
 	}
 	// Per-shard scatter counters: runs, inflight and queued substreams
 	// (queued > 0 marks a hot shard whose substream outpaces the merge),

@@ -350,6 +350,25 @@ func TestStatsEndpoint(t *testing.T) {
 	if ce, _ := stats["certificate_estimate"].(float64); ce <= 0 {
 		t.Fatalf("certificate_estimate = %v", stats["certificate_estimate"])
 	}
+
+	// A write followed by a run constructs indexes again; on the
+	// unsharded store the cached ones are merged forward, which an
+	// operator reads off index_merges_total.
+	builds, _ := stats["index_builds_total"].(float64)
+	merges, _ := stats["index_merges_total"].(float64)
+	wantStatus(t, do(t, s, "POST", "/relations/R/insert", `{"tuples":[[9,2]]}`), http.StatusOK)
+	wantStatus(t, do(t, s, "GET", "/queries/rs/run", ""), http.StatusOK)
+	if err := json.Unmarshal(do(t, s, "GET", "/stats", "").Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	builds2, _ := stats["index_builds_total"].(float64)
+	merges2, _ := stats["index_merges_total"].(float64)
+	if builds < 1 || builds2 <= builds || merges2 < merges || builds2 < merges2 {
+		t.Fatalf("index counters: builds %v -> %v, merges %v -> %v", builds, builds2, merges, merges2)
+	}
+	if _, single := s.cat.(singleStore); single && merges2 <= merges {
+		t.Fatalf("index_merges_total stayed at %v across an insert and a run", merges)
+	}
 }
 
 // TestRunStreamsInOrder pins the NDJSON tuple order to the GAO-lex

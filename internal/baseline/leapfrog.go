@@ -11,32 +11,30 @@ import (
 
 // trieIter is a linear iterator over one level of a relation search tree,
 // supporting the leapfrog operations open/up/next/seek (Veldhuizen [53]).
+// It walks the tree's CSR arrays directly: at depth d the iterator is a
+// position inside a range of reltree.Tree.Level(d).
 type trieIter struct {
 	tree  *reltree.Tree
 	stats *certificate.Stats
-	// stack of (node, position) pairs; depth = len(stack)-1 after open.
-	nodes []*reltree.Node
-	pos   []int
+	// stack of (position, range end) pairs; depth = len(pos)-1 after open.
+	pos []int
+	end []int
 }
 
 func newTrieIter(t *reltree.Tree, stats *certificate.Stats) *trieIter {
 	return &trieIter{tree: t, stats: stats}
 }
 
-func (it *trieIter) cur() (*reltree.Node, int) {
-	return it.nodes[len(it.nodes)-1], it.pos[len(it.pos)-1]
-}
-
 // atEnd reports whether the iterator is past the last value at this level.
 func (it *trieIter) atEnd() bool {
-	n, p := it.cur()
-	return p >= len(n.Values)
+	d := len(it.pos) - 1
+	return it.pos[d] >= it.end[d]
 }
 
 // key returns the current value at this level.
 func (it *trieIter) key() int {
-	n, p := it.cur()
-	return n.Values[p]
+	d := len(it.pos) - 1
+	return it.tree.Level(d)[it.pos[d]]
 }
 
 // next advances to the following value at this level.
@@ -47,21 +45,22 @@ func (it *trieIter) next() {
 // seek advances to the least value ≥ v at this level (galloping search,
 // counted as one FindGap-equivalent probe).
 func (it *trieIter) seek(v int) {
-	n, p := it.cur()
+	d := len(it.pos) - 1
+	vals, p, end := it.tree.Level(d), it.pos[d], it.end[d]
 	if it.stats != nil {
 		it.stats.FindGaps++
 	}
 	// Gallop from the current position.
 	lo, hi := p, p+1
-	for hi < len(n.Values) && n.Values[hi] < v {
+	for hi < end && vals[hi] < v {
 		if it.stats != nil {
 			it.stats.Comparisons++
 		}
 		lo = hi
 		hi = p + 2*(hi-p)
 	}
-	if hi > len(n.Values) {
-		hi = len(n.Values)
+	if hi > end {
+		hi = end
 	}
 	// Binary search in (lo, hi].
 	for lo < hi {
@@ -69,32 +68,32 @@ func (it *trieIter) seek(v int) {
 		if it.stats != nil {
 			it.stats.Comparisons++
 		}
-		if n.Values[mid] < v {
+		if vals[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	it.pos[len(it.pos)-1] = lo
+	it.pos[d] = lo
 }
 
 // open descends one trie level: from the virtual pre-root to the first
 // attribute, or into the children of the current value.
 func (it *trieIter) open() {
-	if len(it.nodes) == 0 {
-		it.nodes = append(it.nodes, it.tree.Root())
-		it.pos = append(it.pos, 0)
-		return
+	var lo, hi int
+	if d := len(it.pos) - 1; d < 0 {
+		lo, hi = it.tree.Top()
+	} else {
+		lo, hi = it.tree.Children(d, it.pos[d])
 	}
-	n, p := it.cur()
-	it.nodes = append(it.nodes, n.Children[p])
-	it.pos = append(it.pos, 0)
+	it.pos = append(it.pos, lo)
+	it.end = append(it.end, hi)
 }
 
 // up returns to the parent level.
 func (it *trieIter) up() {
-	it.nodes = it.nodes[:len(it.nodes)-1]
 	it.pos = it.pos[:len(it.pos)-1]
+	it.end = it.end[:len(it.end)-1]
 }
 
 // Leapfrog evaluates the join with the Leapfrog Triejoin algorithm [53],

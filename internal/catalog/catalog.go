@@ -31,12 +31,13 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 
 	"minesweeper"
-	"minesweeper/internal/ordered"
 	"minesweeper/internal/relio"
+	"minesweeper/internal/rows"
 	"minesweeper/internal/storage"
 )
 
@@ -93,7 +94,7 @@ func New() *Catalog {
 // prepared-query definitions are available from QueryDefs for the
 // serving layer to re-register (and re-plan) against the recovered
 // data. Indexes are not persisted — the first execution that needs one
-// rebuilds it lazily, exactly as after a live mutation.
+// builds it lazily.
 func Open(b storage.Backend) (*Catalog, error) {
 	state, err := b.Recover()
 	if err != nil {
@@ -123,19 +124,11 @@ func Open(b storage.Backend) (*Catalog, error) {
 
 // checkTuples validates arity and the value domain before a mutation is
 // logged: a record must never enter the WAL unless replaying it will
-// succeed, so the same bounds the Relation mutators enforce are checked
+// succeed, so the check the Relation mutators apply (rows.Check) runs
 // here first.
 func checkTuples(name string, arity int, tuples [][]int) error {
-	for i, tup := range tuples {
-		if len(tup) != arity {
-			return fmt.Errorf("catalog: relation %q: tuple %d has %d values, want %d", name, i, len(tup), arity)
-		}
-		for j, v := range tup {
-			if v < 0 || v >= ordered.PosInf {
-				return fmt.Errorf("catalog: relation %q: tuple %d component %d = %d out of domain [0, %d)",
-					name, i, j, v, ordered.PosInf)
-			}
-		}
+	if err := rows.Check(arity, tuples); err != nil {
+		return fmt.Errorf("catalog: relation %q: %w", name, err)
 	}
 	return nil
 }
@@ -669,11 +662,15 @@ func (c *Catalog) verifyStateLocked(state *storage.State) error {
 		if rs.Epoch != e.rel.Epoch() {
 			return fmt.Errorf("relation %q: recovered epoch %d, memory at %d", rs.Name, rs.Epoch, e.rel.Epoch())
 		}
+		// Memory holds the rows in sorted order, the log in arrival
+		// order: compare them as multisets.
 		mem := e.rel.Tuples()
 		if len(rs.Tuples) != len(mem) {
 			return fmt.Errorf("relation %q: recovered %d tuples, memory has %d", rs.Name, len(rs.Tuples), len(mem))
 		}
-		if !reflect.DeepEqual(rs.Tuples, mem) && len(mem) > 0 {
+		recovered := slices.Clone(rs.Tuples)
+		slices.SortFunc(recovered, rows.Compare)
+		if !slices.EqualFunc(recovered, mem, slices.Equal[[]int]) {
 			return fmt.Errorf("relation %q: recovered tuples diverge from memory", rs.Name)
 		}
 	}

@@ -101,7 +101,8 @@ func MinesweeperParallelStream(ctx context.Context, p *Problem, workers int, sta
 	for i := range p.Atoms {
 		a := &p.Atoms[i]
 		if len(a.Positions) > 0 && a.Positions[0] == pp {
-			lists = append(lists, a.Tree.Root().Values)
+			lo, hi := a.Tree.Top()
+			lists = append(lists, a.Tree.Level(0)[lo:hi])
 		}
 	}
 	if pp > 0 && len(lists) == 0 {
@@ -255,7 +256,7 @@ func TriangleParallel(r, s, t [][]int, workers int, stats *certificate.Stats) ([
 		sortTriples(out)
 		return out, nil
 	}
-	distinct := distinctSorted(rT.Root().Values, tT.Root().Values)
+	distinct := distinctSorted(rT.Level(0), tT.Level(0))
 	if len(distinct) == 0 {
 		return nil, nil
 	}

@@ -189,17 +189,15 @@ func TriangleIndexes(r, s, t [][]int) (rT, sT, tT *reltree.Tree, err error) {
 }
 
 // maxSecond returns the largest second-attribute value of an arity-2
-// tree (0 when empty) by scanning the last value of each second-level
-// node — O(#distinct first values), no tuple materialization.
+// tree (0 when empty) by reading the last value of each first-level
+// entry's child range — O(#distinct first values), no tuple
+// materialization.
 func maxSecond(t *reltree.Tree) int {
 	max := 0
-	root := t.Root()
-	if root == nil {
-		return 0
-	}
-	for _, child := range root.Children {
-		if n := len(child.Values); n > 0 && child.Values[n-1] > max {
-			max = child.Values[n-1]
+	seconds := t.Level(1)
+	for p, end := t.Top(); p < end; p++ {
+		if _, hi := t.Children(0, p); seconds[hi-1] > max {
+			max = seconds[hi-1]
 		}
 	}
 	return max

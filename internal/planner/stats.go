@@ -64,32 +64,43 @@ type RelStats struct {
 // Collect computes the statistics of a tuple set in O(arity · N log N):
 // one sorted pass per column. Duplicate tuples are counted as stored
 // (the sketch approximates the indexed relation closely enough for
-// costing; exactness is not required).
+// costing; exactness is not required). It is the reference the relation
+// store's merge-maintained statistics are tested against.
 func Collect(tuples [][]int, arity int) *RelStats {
 	st := &RelStats{Rows: len(tuples), Cols: make([]ColStat, arity)}
-	if len(tuples) == 0 {
-		return st
-	}
 	buf := make([]int, len(tuples))
 	for c := 0; c < arity; c++ {
 		for i, tup := range tuples {
 			buf[i] = tup[c]
 		}
 		sort.Ints(buf)
-		cs := ColStat{Min: buf[0], Max: buf[len(buf)-1], Distinct: 1, MaxFreq: 1}
-		run := 1
-		for i := 1; i < len(buf); i++ {
-			if buf[i] == buf[i-1] {
-				run++
-				if run > cs.MaxFreq {
-					cs.MaxFreq = run
-				}
-				continue
-			}
-			run = 1
-			cs.Distinct++
-		}
-		st.Cols[c] = cs
+		st.Cols[c] = StatSorted(buf, 1)
 	}
 	return st
+}
+
+// StatSorted summarizes a column whose values are already in ascending
+// order, in one O(n) pass. The values sit at vals[0], vals[stride],
+// vals[2·stride], …: a contiguous sorted array has stride 1, the leading
+// column of sorted row-major rows has stride arity. An empty column
+// yields the zero ColStat.
+func StatSorted(vals []int, stride int) ColStat {
+	if len(vals) == 0 {
+		return ColStat{}
+	}
+	cs := ColStat{Min: vals[0], Max: vals[0], Distinct: 1, MaxFreq: 1}
+	run := 1
+	for i := stride; i < len(vals); i += stride {
+		if vals[i] == cs.Max {
+			run++
+			if run > cs.MaxFreq {
+				cs.MaxFreq = run
+			}
+			continue
+		}
+		run = 1
+		cs.Distinct++
+		cs.Max = vals[i]
+	}
+	return cs
 }

@@ -14,11 +14,14 @@ package relio
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
+
+	"minesweeper/internal/rows"
 )
 
 // Relation is a parsed relation: its name, the variables it binds, and
@@ -43,15 +46,16 @@ func ReadRelation(r io.Reader, name string) (*Relation, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLine)
 	out := &Relation{}
+	var block rows.Block // tuple rows are carved from shared chunks
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
 		if out.Name == "" {
-			head, rest, found := strings.Cut(line, ":")
+			head, rest, found := strings.Cut(string(line), ":")
 			if !found {
 				return nil, fmt.Errorf("%s:%d: header must be 'Name: V1 V2 …'", name, lineNo)
 			}
@@ -69,17 +73,12 @@ func ReadRelation(r io.Reader, name string) (*Relation, error) {
 			}
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != len(out.Vars) {
-			return nil, fmt.Errorf("%s:%d: %d values, want %d", name, lineNo, len(fields), len(out.Vars))
+		tup, fields, bad := block.ParseRow(line)
+		if fields != len(out.Vars) {
+			return nil, fmt.Errorf("%s:%d: %d values, want %d", name, lineNo, fields, len(out.Vars))
 		}
-		tup := make([]int, len(fields))
-		for i, fv := range fields {
-			v, err := strconv.Atoi(fv)
-			if err != nil || v < 0 {
-				return nil, fmt.Errorf("%s:%d: bad value %q (want non-negative integer)", name, lineNo, fv)
-			}
-			tup[i] = v
+		if bad != "" {
+			return nil, fmt.Errorf("%s:%d: bad value %q (want non-negative integer)", name, lineNo, bad)
 		}
 		out.Tuples = append(out.Tuples, tup)
 	}

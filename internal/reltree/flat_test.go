@@ -13,12 +13,42 @@ const (
 	posInfValue = ordered.PosInf
 )
 
-// nodeFindGap is the reference pointer-walk FindGap (the pre-flat
-// implementation), used to cross-check the flat galloping path.
-func nodeFindGap(t *Tree, x []int, a int) (lo, hi int) {
-	n := t.node(x)
-	hi = sort.SearchInts(n.Values, a)
-	if hi < len(n.Values) && n.Values[hi] == a {
+// refNode is the test's reference trie: the pointer-per-node form of a
+// relation tree, built here from the raw tuples with none of the CSR
+// code, to cross-check the flat galloping path against.
+type refNode struct {
+	values   []int
+	children []*refNode // nil at the deepest level
+}
+
+func buildRef(tuples [][]int, depth, arity int) *refNode {
+	n := &refNode{}
+	by := map[int][][]int{}
+	for _, tup := range tuples {
+		if _, ok := by[tup[depth]]; !ok {
+			n.values = append(n.values, tup[depth])
+		}
+		by[tup[depth]] = append(by[tup[depth]], tup)
+	}
+	sort.Ints(n.values)
+	if depth < arity-1 {
+		for _, v := range n.values {
+			n.children = append(n.children, buildRef(by[v], depth+1, arity))
+		}
+	}
+	return n
+}
+
+func (n *refNode) at(x []int) *refNode {
+	for _, xi := range x {
+		n = n.children[xi]
+	}
+	return n
+}
+
+func (n *refNode) findGap(a int) (lo, hi int) {
+	hi = sort.SearchInts(n.values, a)
+	if hi < len(n.values) && n.values[hi] == a {
 		return hi, hi
 	}
 	return hi - 1, hi
@@ -26,7 +56,7 @@ func nodeFindGap(t *Tree, x []int, a int) (lo, hi int) {
 
 // TestFlatMatchesNodeWalk drives FindGap/Value/InRange/Fanout over
 // random trees with random index prefixes and targets and checks the
-// flat CSR path against the node-walk reference. Repeated queries warm
+// flat CSR path against the reference trie. Repeated queries warm
 // the galloping hints, so both the cold and the seeded paths are hit.
 func TestFlatMatchesNodeWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -42,9 +72,7 @@ func TestFlatMatchesNodeWalk(t *testing.T) {
 			tuples[i] = tup
 		}
 		tr := mustNew(t, "R", arity, tuples)
-		if tr.flat == nil {
-			t.Fatal("New did not build the flat index")
-		}
+		ref := buildRef(tuples, 0, arity)
 		for probe := 0; probe < 200; probe++ {
 			// Random in-range prefix.
 			depth := rng.Intn(arity)
@@ -58,16 +86,16 @@ func TestFlatMatchesNodeWalk(t *testing.T) {
 			}
 			a := rng.Intn(12 * 501)
 			gotLo, gotHi := tr.FindGap(x, a)
-			wantLo, wantHi := nodeFindGap(tr, x, a)
+			nd := ref.at(x)
+			wantLo, wantHi := nd.findGap(a)
 			if gotLo != wantLo || gotHi != wantHi {
 				t.Fatalf("FindGap(%v, %d) = (%d,%d), node walk says (%d,%d)", x, a, gotLo, gotHi, wantLo, wantHi)
 			}
-			nd := tr.node(x)
-			if got, want := tr.Fanout(x), len(nd.Values); got != want {
+			if got, want := tr.Fanout(x), len(nd.values); got != want {
 				t.Fatalf("Fanout(%v) = %d, want %d", x, got, want)
 			}
-			for _, i := range []int{-1, 0, gotHi, len(nd.Values) - 1, len(nd.Values)} {
-				if got, want := tr.InRange(x, i), i >= 0 && i < len(nd.Values); got != want {
+			for _, i := range []int{-1, 0, gotHi, len(nd.values) - 1, len(nd.values)} {
+				if got, want := tr.InRange(x, i), i >= 0 && i < len(nd.values); got != want {
 					t.Fatalf("InRange(%v, %d) = %v, want %v", x, i, got, want)
 				}
 				xi := append(append([]int(nil), x...), i)
@@ -76,10 +104,10 @@ func TestFlatMatchesNodeWalk(t *testing.T) {
 				switch {
 				case i <= -1:
 					want = negInfValue
-				case i >= len(nd.Values):
+				case i >= len(nd.values):
 					want = posInfValue
 				default:
-					want = nd.Values[i]
+					want = nd.values[i]
 				}
 				if got != want {
 					t.Fatalf("Value(%v) = %d, want %d", xi, got, want)
@@ -167,5 +195,37 @@ func TestSliceTopFlat(t *testing.T) {
 	}
 	if sl.Contains([]int{45, 901}) {
 		t.Fatal("slice must not contain values outside its range")
+	}
+}
+
+// TestSliceTopSizes: a view's size is read off the offset chain, at any
+// arity and for slices of slices, and matches the tuples it yields.
+func TestSliceTopSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for arity := 1; arity <= 4; arity++ {
+		tuples := make([][]int, 200)
+		for i := range tuples {
+			tuples[i] = make([]int, arity)
+			for j := range tuples[i] {
+				tuples[i][j] = rng.Intn(9)
+			}
+		}
+		tr := mustNew(t, "R", arity, tuples)
+		for trial := 0; trial < 50; trial++ {
+			lo := rng.Intn(10)
+			hi := lo + rng.Intn(10-lo)
+			outer := tr.SliceTop(lo-1, hi+1)
+			inner := outer.SliceTop(lo, hi)
+			want := 0
+			for _, tup := range tr.Tuples() {
+				if lo <= tup[0] && tup[0] <= hi {
+					want++
+				}
+			}
+			if inner.Size() != want || len(inner.Tuples()) != want {
+				t.Fatalf("arity %d: SliceTop(%d,%d) of a slice: Size %d, %d tuples, want %d",
+					arity, lo, hi, inner.Size(), len(inner.Tuples()), want)
+			}
+		}
 	}
 }

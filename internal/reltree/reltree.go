@@ -18,54 +18,49 @@
 // conventions (1) and (2), the out-of-range index -1 denotes the value
 // -∞ and the out-of-range index len denotes +∞.
 //
-// Physically the tree is stored twice over one set of value arrays: a
-// contiguous CSR-style flat layout (one concatenated value array per
-// level plus int32 child-range offsets) that the probe-path primitives
-// — FindGap, Value, InRange, Fanout, Contains — run on with
-// hint-seeded galloping search, and a conventional node view carved out
-// of the same backing arrays for iterator-style consumers (Root,
-// Tuples, Leapfrog). The flat layout replaces per-level pointer chasing
-// with three array reads per level, which is what keeps the Minesweeper
-// probe loop inside a few cache lines on immutable snapshots.
+// Physically the tree is a contiguous CSR-style layout — one
+// concatenated value array per level plus int32 child-range offsets —
+// that every primitive (FindGap, Value, InRange, Fanout, Contains, the
+// level walks of Tuples and the Leapfrog iterator) runs on, the probe
+// path with hint-seeded galloping search: three array reads per level
+// instead of pointer chasing, which is what keeps the Minesweeper probe
+// loop inside a few cache lines. A tree is immutable once built; Merge
+// derives the tree of a mutated relation from the old arrays and a
+// sorted batch without re-sorting.
 package reltree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
 	"minesweeper/internal/certificate"
 	"minesweeper/internal/ordered"
+	"minesweeper/internal/rows"
 )
 
-// Node is an internal node of the relation search tree. Values holds the
-// sorted distinct values of one attribute under a fixed prefix; for
-// non-leaf levels, Children[i] refines Values[i]. Counts[i] is the
-// number of tuples stored under Values[i]; it is recorded only at the
-// root level (its sole consumer is SliceTop's size computation) and only
-// when the root is not a leaf (leaves hold one tuple per value).
-type Node struct {
-	Values   []int
-	Children []*Node // nil at the deepest level
-	Counts   []int   // root level only, nil at leaves
-}
+// builds counts every index constructed since process start, by a full
+// build or by Merge; merges counts the latter alone. Clone and SliceTop
+// views are not counted: tests and benchmarks use the counters to assert
+// that prepared queries reuse cached indexes instead of rebuilding them,
+// and that a mutated relation's indexes are merged forward rather than
+// re-sorted.
+var builds, merges atomic.Int64
 
-// builds counts every index constructed by New since process start.
-// Clone and SliceTop views are not counted: tests and benchmarks use the
-// counter to assert that prepared queries reuse cached indexes instead of
-// rebuilding them.
-var builds atomic.Int64
-
-// Builds returns the process-wide count of New calls.
+// Builds returns the process-wide count of constructed indexes.
 func Builds() int64 { return builds.Load() }
+
+// Merges returns how many of those were derived from a cached index by
+// Merge.
+func Merges() int64 { return merges.Load() }
 
 // flatIndex is the CSR-style layout of a relation tree: levels[d] holds
 // every depth-d value in depth-first order, and offs[d][p] is the start
 // of entry p's children inside levels[d+1] (offs[d] carries one trailing
 // sentinel, so entry p's children occupy levels[d+1][offs[d][p]:
-// offs[d][p+1]]). The layout is immutable and shared by every view of
-// the tree; the node hierarchy returned by Root carves its Values
-// slices out of the same arrays.
+// offs[d][p+1]]). Every entry above the leaf level has at least one
+// child. The layout is immutable and shared by every view of the tree.
 type flatIndex struct {
 	levels [][]int
 	offs   [][]int32 // len arity-1; offs[d] has len(levels[d])+1 entries
@@ -82,10 +77,11 @@ type Tree struct {
 	name  string
 	arity int
 	size  int // number of tuples
-	root  *Node
 	flat  *flatIndex
-	top0  int // absolute offset of this view's level-0 segment
-	stats *certificate.Stats
+	// This view's level-0 segment is levels[0][top0:top0+topN]: the
+	// whole level for a built tree, a sub-range for a SliceTop view.
+	top0, topN int
+	stats      *certificate.Stats
 	// hints remembers, per level, where the last flat search landed.
 	// Probe points ascend lexicographically, so seeding the next search
 	// there turns most binary searches into a short gallop. The array is
@@ -95,153 +91,206 @@ type Tree struct {
 }
 
 // New builds the search tree for the given tuples. All tuples must have
-// length arity and non-negative components (the paper's ℕ domain).
-// Duplicate tuples are collapsed (relations are sets). The tuple slice is
-// not retained. The stats receiver may be nil; use SetStats to attach one
-// per run.
+// length arity and components in [0, ordered.PosInf) (the paper's ℕ
+// domain). Duplicate tuples are collapsed (relations are sets). The
+// tuple slice is not retained. The stats receiver may be nil; use
+// SetStats to attach one per run.
+//
+// New is the [][]int adapter over NewSorted, for callers that hold
+// loose rows (the dictionary bind path, the specialized solvers); the
+// relation store hands NewSorted its flat rows directly.
 func New(name string, arity int, tuples [][]int) (*Tree, error) {
 	if arity < 1 {
 		return nil, fmt.Errorf("reltree: relation %q: arity must be ≥ 1, got %d", name, arity)
 	}
-	sorted := make([][]int, 0, len(tuples))
-	for i, tup := range tuples {
-		if len(tup) != arity {
-			return nil, fmt.Errorf("reltree: relation %q: tuple %d has %d components, want %d", name, i, len(tup), arity)
-		}
-		for j, v := range tup {
-			if v < 0 || v >= ordered.PosInf {
-				return nil, fmt.Errorf("reltree: relation %q: tuple %d component %d = %d out of domain [0, PosInf)", name, i, j, v)
-			}
-		}
-		sorted = append(sorted, tup)
+	flat, err := rows.Flatten(arity, tuples)
+	if err != nil {
+		return nil, fmt.Errorf("reltree: relation %q: %w", name, err)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return lexLess(sorted[i], sorted[j]) })
-	sorted = dedup(sorted)
-	t := &Tree{name: name, arity: arity, size: len(sorted)}
-	t.flat = buildFlat(sorted, arity)
-	t.root = t.flat.carve(0, 0, len(t.flat.levels[0]), arity)
-	t.flat.rootCounts(t.root, arity)
-	builds.Add(1)
-	return t, nil
+	return NewSorted(name, arity, rows.Sort(flat, arity)), nil
+}
+
+// NewSorted builds the search tree from flat rows that internal/rows
+// has already validated and sorted; duplicates collapse. The buffer is
+// not retained. A first pass counts the entries of every level, so the
+// CSR arrays are allocated once at their exact size.
+func NewSorted(name string, arity int, sorted []int) *Tree {
+	// opened[d] counts the rows that differ from their predecessor first
+	// at column d: each opens one entry at every level from d down.
+	opened := make([]int, arity+1)
+	for i := arity; i < len(sorted); i += arity {
+		d := 0
+		for d < arity && sorted[i+d] == sorted[i-arity+d] {
+			d++
+		}
+		opened[d]++
+	}
+	if len(sorted) > 0 {
+		opened[0]++
+	}
+	for d := 1; d < arity; d++ {
+		opened[d] += opened[d-1] // now the number of entries at level d
+	}
+	b := newBuilder(opened[:arity])
+	for i := 0; i < len(sorted); i += arity {
+		d := 0
+		for i > 0 && d < arity && sorted[i+d] == sorted[i-arity+d] {
+			d++
+		}
+		b.open(sorted[i:i+arity], d)
+	}
+	return b.tree(name)
 }
 
 // NewFromValues builds the arity-1 search tree for a plain value list —
-// the shape the set-intersection solvers use — without wrapping every
-// element in a one-int tuple: three allocations total instead of one
-// per element. Duplicates collapse; the input slice is not retained.
+// the shape the set-intersection solvers use. Its one level is the
+// sorted distinct values themselves, so there is nothing to append level
+// by level: sort a copy, compact it, wrap it. The input slice is not
+// retained.
 func NewFromValues(name string, values []int) (*Tree, error) {
-	vs := make([]int, len(values))
-	copy(vs, values)
-	sort.Ints(vs)
-	out := vs[:0]
-	for i, v := range vs {
+	for _, v := range values {
 		if v < 0 || v >= ordered.PosInf {
 			return nil, fmt.Errorf("reltree: relation %q: value %d out of domain [0, PosInf)", name, v)
 		}
-		if i > 0 && v == vs[i-1] {
-			continue
-		}
-		out = append(out, v)
 	}
-	t := &Tree{name: name, arity: 1, size: len(out), root: &Node{Values: out}}
-	t.flat = &flatIndex{levels: [][]int{out}}
+	vs := slices.Compact(rows.Sort(slices.Clone(values), 1))
 	builds.Add(1)
-	return t, nil
+	return &Tree{name: name, arity: 1, size: len(vs), flat: &flatIndex{levels: [][]int{vs}}, topN: len(vs)}, nil
 }
 
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// builder appends ascending rows to the CSR arrays of a tree under
+// construction. Full builds and merges share it, so both produce the
+// same layout by the same rule (see open).
+type builder struct{ *flatIndex }
+
+// newBuilder allocates the CSR arrays of a len(capacity)-ary tree;
+// capacity[d] bounds the number of entries level d will receive.
+func newBuilder(capacity []int) builder {
+	arity := len(capacity)
+	f := &flatIndex{levels: make([][]int, arity), offs: make([][]int32, arity-1)}
+	for d, n := range capacity {
+		f.levels[d] = make([]int, 0, n)
+		if d < arity-1 {
+			f.offs[d] = make([]int32, 0, n+1)
 		}
 	}
-	return false
+	return builder{f}
 }
 
-func dedup(sorted [][]int) [][]int {
-	out := sorted[:0]
-	for i, tup := range sorted {
-		if i > 0 && equal(tup, sorted[i-1]) {
-			continue
+// open appends the entries a row opens: one at every level from depth d,
+// the first column where it leaves the path of the row before it (none
+// when d is the arity: a repeat). An entry's children start wherever the
+// next level has grown to, and follow contiguously, depth-first.
+func (b builder) open(row []int, d int) {
+	for arity := len(b.levels); d < arity; d++ {
+		if d < arity-1 {
+			b.offs[d] = append(b.offs[d], int32(len(b.levels[d+1])))
 		}
-		out = append(out, tup)
+		b.levels[d] = append(b.levels[d], row[d])
 	}
-	return out
 }
 
-func equal(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// add appends one row, which must not sort before the last row added,
+// finding where it leaves that row's path by itself: the path of the
+// last row is the tail of every level (children follow their parent),
+// so no copy of it is kept.
+func (b builder) add(row []int) {
+	d := 0
+	if len(b.levels[0]) > 0 {
+		for d < len(row) && b.levels[d][len(b.levels[d])-1] == row[d] {
+			d++
 		}
 	}
-	return true
+	b.open(row, d)
 }
 
-// buildFlat constructs the CSR layout from the sorted, deduplicated
-// tuples in one pass: a depth-d entry opens whenever the length-(d+1)
-// prefix changes, and its child range starts wherever level d+1 has
-// grown to at that moment (children are appended contiguously right
-// after, depth-first).
-func buildFlat(sorted [][]int, arity int) *flatIndex {
-	f := &flatIndex{levels: make([][]int, arity)}
-	if arity > 1 {
-		f.offs = make([][]int32, arity-1)
-	}
-	for i, tup := range sorted {
-		d0 := 0
-		if i > 0 {
-			prev := sorted[i-1]
-			for prev[d0] == tup[d0] {
-				d0++
-			}
-		}
-		for d := d0; d < arity; d++ {
-			if d < arity-1 {
-				f.offs[d] = append(f.offs[d], int32(len(f.levels[d+1])))
-			}
-			f.levels[d] = append(f.levels[d], tup[d])
-		}
-	}
-	for d := 0; d < arity-1; d++ {
-		f.offs[d] = append(f.offs[d], int32(len(f.levels[d+1])))
-	}
-	return f
-}
-
-// carve builds the node view of the flat entry range [lo, hi) at level
-// d. Node Values alias the flat level arrays — the two representations
-// share one copy of the data.
-func (f *flatIndex) carve(d, lo, hi, arity int) *Node {
-	n := &Node{}
-	if lo < hi {
-		n.Values = f.levels[d][lo:hi:hi]
-	}
-	if d < arity-1 && lo < hi {
-		n.Children = make([]*Node, hi-lo)
-		for p := lo; p < hi; p++ {
-			n.Children[p-lo] = f.carve(d+1, int(f.offs[d][p]), int(f.offs[d][p+1]), arity)
-		}
-	}
-	return n
-}
-
-// rootCounts fills the root node's per-value tuple counts (consumed by
-// SliceTop's size computation): the width of each top entry's leaf-level
-// descendant range, read off the offset chain.
-func (f *flatIndex) rootCounts(root *Node, arity int) {
-	if arity < 2 || len(root.Values) == 0 {
+// copyRun appends the rows at leaf positions [lo, hi) of the old tree.
+// The first goes through add, which settles how much of the builder's
+// current path it shares. Every later row follows its old predecessor,
+// so it opens exactly the entries it opened in the old tree: per level
+// those are one contiguous range, found by binary search over the
+// offsets and copied wholesale with the child offsets shifted.
+func (b builder) copyRun(old *Tree, lo, hi int, scratch []int) {
+	if lo >= hi {
 		return
 	}
-	counts := make([]int, len(root.Values))
-	for i := range counts {
-		lo, hi := i, i+1
-		for d := 0; d < arity-1; d++ {
-			lo, hi = int(f.offs[d][lo]), int(f.offs[d][hi])
+	b.add(old.rowAt(lo, scratch))
+	of, leaf := old.flat, len(b.levels)-1
+	lo++ // [lo, hi) is now the range of level-d entries the run opens
+	childBase := 0
+	for d := leaf; d >= 0 && lo < hi; d-- {
+		if d < leaf {
+			// An entry is opened by the row that opens its first child.
+			childLo := lo
+			lo, hi = searchOffs(of.offs[d], lo), searchOffs(of.offs[d], hi)
+			shift := int32(childBase - childLo)
+			for _, o := range of.offs[d][lo:hi] {
+				b.offs[d] = append(b.offs[d], o+shift)
+			}
 		}
-		counts[i] = hi - lo
+		childBase = len(b.levels[d])
+		b.levels[d] = append(b.levels[d], of.levels[d][lo:hi]...)
 	}
-	root.Counts = counts
+}
+
+// searchOffs returns the first entry whose child range starts at or
+// after child position c (the sentinel's index when none does).
+func searchOffs(offs []int32, c int) int {
+	p, _ := slices.BinarySearch(offs, int32(c))
+	return p
+}
+
+// tree closes the offset arrays with their sentinels and wraps the
+// layout in a Tree, counted as one build.
+func (b builder) tree(name string) *Tree {
+	for d := range b.offs {
+		b.offs[d] = append(b.offs[d], int32(len(b.levels[d+1])))
+	}
+	builds.Add(1)
+	arity := len(b.levels)
+	return &Tree{name: name, arity: arity, size: len(b.levels[arity-1]), flat: b.flatIndex, topN: len(b.levels[0])}
+}
+
+// Merge returns the tree over (t's rows − dels) ∪ adds without
+// re-sorting t: O(n) copying plus O(m log n) searching for a batch of m
+// rows. adds and dels are flat rows in t's column order, validated and
+// sorted by internal/rows, with no row in both; either may be empty,
+// repeat rows, add rows t already holds or delete rows it does not. t —
+// a built tree, not a SliceTop view — is left untouched, so runs still
+// probing it are unaffected.
+//
+// Each batch row is located by one descent of t; the old rows between
+// two batch rows are carried over by copyRun.
+func Merge(t *Tree, adds, dels []int) *Tree {
+	k := t.arity
+	capacity, scratch := make([]int, k), make([]int, k)
+	for d, level := range t.flat.levels {
+		capacity[d] = len(level) + len(adds)/k
+	}
+	b := newBuilder(capacity)
+	from := 0 // first old leaf neither copied nor dropped yet
+	for len(adds) > 0 || len(dels) > 0 {
+		del := len(adds) == 0 || (len(dels) > 0 && rows.Compare(dels[:k], adds[:k]) < 0)
+		var row []int
+		if del {
+			row, dels = dels[:k], dels[k:]
+		} else {
+			row, adds = adds[:k], adds[k:]
+		}
+		at, found := t.lowerBound(row)
+		switch {
+		case del && found && at >= from: // at < from: a repeat of the row just dropped
+			b.copyRun(t, from, at, scratch)
+			from = at + 1
+		case !del && !found:
+			b.copyRun(t, from, at, scratch)
+			b.add(row)
+			from = at
+		}
+	}
+	b.copyRun(t, from, t.size, scratch)
+	merges.Add(1)
+	return b.tree(t.name)
 }
 
 // Name returns the relation's name.
@@ -257,7 +306,7 @@ func (t *Tree) Size() int { return t.size }
 func (t *Tree) SetStats(s *certificate.Stats) { t.stats = s }
 
 // Clone returns a shallow per-run view of the tree: it shares the
-// immutable node structure but carries its own stats receiver, so
+// immutable CSR arrays but carries its own stats receiver, so
 // concurrent executions over a cached index can each attach their own
 // counters without racing. O(1).
 func (t *Tree) Clone() *Tree {
@@ -265,8 +314,8 @@ func (t *Tree) Clone() *Tree {
 	return &cp
 }
 
-// View is Clone by value: a detached copy sharing the immutable node
-// structure, with no stats receiver. Callers that clone many trees per
+// View is Clone by value: a detached copy sharing the immutable CSR
+// arrays, with no stats receiver. Callers that clone many trees per
 // run (Problem.Snapshot, the parallel workers) store Views in one
 // block instead of paying one heap allocation per Clone.
 func (t *Tree) View() Tree {
@@ -275,60 +324,53 @@ func (t *Tree) View() Tree {
 	return cp
 }
 
-// sliceView packs a sliced tree and its root node into one allocation;
-// SliceTop runs once per worker per atom per parallel execution, so the
-// saved allocation is on a served workload's steady-state path.
-type sliceView struct {
-	tree Tree
-	node Node
-}
-
 // SliceTop returns a view of the tree restricted to the tuples whose
-// first attribute lies in [lo, hi]. The view shares all nodes with the
-// receiver (nothing is re-sorted or rebuilt), which is how range-parallel
-// executions hand each worker its partition of a cached index. The view
-// carries no stats receiver. O(log fanout), one allocation.
+// first attribute lies in [lo, hi]. The view shares the CSR arrays with
+// the receiver (nothing is re-sorted or rebuilt), which is how
+// range-parallel executions hand each worker its partition of a cached
+// index. The view carries no stats receiver. O(log fanout), one
+// allocation.
 func (t *Tree) SliceTop(lo, hi int) *Tree {
-	root := t.root
-	i := sort.SearchInts(root.Values, lo)
-	j := sort.SearchInts(root.Values, hi+1)
-	v := &sliceView{}
-	v.node.Values = root.Values[i:j]
-	size := j - i // leaf level: one tuple per value
-	if root.Children != nil {
-		v.node.Children = root.Children[i:j]
-		v.node.Counts = root.Counts[i:j]
-		size = 0
-		for _, c := range v.node.Counts {
-			size += c
-		}
-	}
-	v.tree = Tree{name: t.name, arity: t.arity, size: size, root: &v.node,
-		flat: t.flat, top0: t.top0 + i}
-	return &v.tree
+	top := t.flat.levels[0][t.top0 : t.top0+t.topN]
+	i := sort.SearchInts(top, lo)
+	j := sort.SearchInts(top, hi+1)
+	v := &Tree{name: t.name, arity: t.arity, flat: t.flat, top0: t.top0 + i, topN: j - i}
+	first, end := v.leaves()
+	v.size = end - first
+	return v
 }
 
-// node returns the node addressed by the index tuple x (all components
-// must be in range), or nil when x is out of range. len(x) must be
-// < arity for a node to exist below it; len(x) == 0 returns the root.
-func (t *Tree) node(x []int) *Node {
-	n := t.root
-	for _, xi := range x {
-		if n == nil || xi < 0 || xi >= len(n.Values) || n.Children == nil {
-			return nil
-		}
-		n = n.Children[xi]
+// Top returns the range [lo, hi) of Level(0) this view covers. Together
+// with Level and Children it lets iterator-style consumers (Leapfrog,
+// the range partitioners) walk the CSR arrays directly.
+func (t *Tree) Top() (lo, hi int) { return t.top0, t.top0 + t.topN }
+
+// Level returns the value array of depth d: every depth-d value of the
+// underlying tree in depth-first order. Positions are absolute, shared
+// by all views; the array must not be modified.
+func (t *Tree) Level(d int) []int { return t.flat.levels[d] }
+
+// Children returns the range [lo, hi) of Level(d+1) holding the children
+// of the entry at position p of Level(d), d < Arity()-1.
+func (t *Tree) Children(d, p int) (lo, hi int) {
+	return int(t.flat.offs[d][p]), int(t.flat.offs[d][p+1])
+}
+
+// leaves returns the range of leaf-level positions under this view.
+func (t *Tree) leaves() (lo, hi int) {
+	lo, hi = t.Top()
+	for _, o := range t.flat.offs {
+		lo, hi = int(o[lo]), int(o[hi])
 	}
-	return n
+	return lo, hi
 }
 
 // flatSeg resolves index prefix x to the absolute value range
 // [lo, hi) of its children at level len(x): three array reads per level
 // against contiguous memory, no pointer chasing. ok is false when x is
-// out of range (mirroring node returning nil).
+// out of range.
 func (t *Tree) flatSeg(x []int) (lo, hi int, ok bool) {
-	lo = t.top0
-	hi = t.top0 + len(t.root.Values)
+	lo, hi = t.Top()
 	f := t.flat
 	for d, xi := range x {
 		if xi < 0 || xi >= hi-lo || d >= len(f.offs) {
@@ -394,18 +436,11 @@ func gallopSearch(arr []int, lo, hi, seed, a int) int {
 // Fanout returns |R[x, *]|: the number of distinct values below prefix x.
 // It panics if x is out of range or longer than arity-1.
 func (t *Tree) Fanout(x []int) int {
-	if t.flat != nil {
-		lo, hi, ok := t.flatSeg(x)
-		if !ok {
-			panic(fmt.Sprintf("reltree: %s: Fanout of invalid index tuple %v", t.name, x))
-		}
-		return hi - lo
-	}
-	n := t.node(x)
-	if n == nil {
+	lo, hi, ok := t.flatSeg(x)
+	if !ok {
 		panic(fmt.Sprintf("reltree: %s: Fanout of invalid index tuple %v", t.name, x))
 	}
-	return len(n.Values)
+	return hi - lo
 }
 
 // Value returns R[x]: the value addressed by the non-empty index tuple x.
@@ -416,42 +451,24 @@ func (t *Tree) Value(x []int) int {
 	if len(x) == 0 {
 		panic("reltree: Value of empty index tuple")
 	}
-	if t.flat != nil {
-		lo, hi, ok := t.flatSeg(x[:len(x)-1])
-		if !ok {
-			panic(fmt.Sprintf("reltree: %s: Value of invalid index tuple %v", t.name, x))
-		}
-		last := x[len(x)-1]
-		switch {
-		case last <= -1:
-			return ordered.NegInf
-		case last >= hi-lo:
-			return ordered.PosInf
-		}
-		return t.flat.levels[len(x)-1][lo+last]
-	}
-	n := t.node(x[:len(x)-1])
-	if n == nil {
+	lo, hi, ok := t.flatSeg(x[:len(x)-1])
+	if !ok {
 		panic(fmt.Sprintf("reltree: %s: Value of invalid index tuple %v", t.name, x))
 	}
 	last := x[len(x)-1]
 	switch {
 	case last <= -1:
 		return ordered.NegInf
-	case last >= len(n.Values):
+	case last >= hi-lo:
 		return ordered.PosInf
 	}
-	return n.Values[last]
+	return t.flat.levels[len(x)-1][lo+last]
 }
 
 // InRange reports whether index i is a real coordinate under prefix x.
 func (t *Tree) InRange(x []int, i int) bool {
-	if t.flat != nil {
-		lo, hi, ok := t.flatSeg(x)
-		return ok && i >= 0 && i < hi-lo
-	}
-	n := t.node(x)
-	return n != nil && i >= 0 && i < len(n.Values)
+	lo, hi, ok := t.flatSeg(x)
+	return ok && i >= 0 && i < hi-lo
 }
 
 // FindGap implements the index primitive of Section 2.1: given an in-range
@@ -461,50 +478,30 @@ func (t *Tree) InRange(x []int, i int) bool {
 // When a occurs under x, lo == hi. Runs in O(log |R|) via binary search
 // and counts one FindGap plus its comparisons in the attached Stats.
 func (t *Tree) FindGap(x []int, a int) (lo, hi int) {
-	if t.flat != nil {
-		segLo, segHi, ok := t.flatSeg(x)
-		if !ok {
-			panic(fmt.Sprintf("reltree: %s: FindGap under invalid index tuple %v", t.name, x))
-		}
-		if t.stats != nil {
-			t.stats.FindGaps++
-			steps := 1
-			for m := segHi - segLo; m > 1; m /= 2 {
-				steps++
-			}
-			t.stats.Comparisons += int64(steps)
-		}
-		d := len(x)
-		arr := t.flat.levels[d]
-		seed := segLo
-		if d < maxHintLevels {
-			seed = int(t.hints[d])
-		}
-		i := gallopSearch(arr, segLo, segHi, seed, a)
-		if d < maxHintLevels {
-			t.hints[d] = int32(i)
-		}
-		hi = i - segLo
-		if i < segHi && arr[i] == a {
-			return hi, hi
-		}
-		return hi - 1, hi
-	}
-	n := t.node(x)
-	if n == nil {
+	segLo, segHi, ok := t.flatSeg(x)
+	if !ok {
 		panic(fmt.Sprintf("reltree: %s: FindGap under invalid index tuple %v", t.name, x))
 	}
 	if t.stats != nil {
 		t.stats.FindGaps++
 		steps := 1
-		for m := len(n.Values); m > 1; m /= 2 {
+		for m := segHi - segLo; m > 1; m /= 2 {
 			steps++
 		}
 		t.stats.Comparisons += int64(steps)
 	}
-	// hi = first index with value ≥ a.
-	hi = sort.SearchInts(n.Values, a)
-	if hi < len(n.Values) && n.Values[hi] == a {
+	d := len(x)
+	arr := t.flat.levels[d]
+	seed := segLo
+	if d < maxHintLevels {
+		seed = int(t.hints[d])
+	}
+	i := gallopSearch(arr, segLo, segHi, seed, a)
+	if d < maxHintLevels {
+		t.hints[d] = int32(i)
+	}
+	hi = i - segLo
+	if i < segHi && arr[i] == a {
 		return hi, hi
 	}
 	return hi - 1, hi
@@ -527,7 +524,7 @@ func (t *Tree) FindGap(x []int, a int) (lo, hi int) {
 // descent) plus the comparisons its child probes perform.
 func (t *Tree) GapRun(x []int, cFrom, cTo, loVal, hiVal int) int {
 	d := len(x)
-	if t.flat == nil || d >= t.arity-1 {
+	if d >= t.arity-1 {
 		panic(fmt.Sprintf("reltree: %s: GapRun under invalid index tuple %v", t.name, x))
 	}
 	segLo, segHi, ok := t.flatSeg(x)
@@ -576,58 +573,69 @@ func (t *Tree) Contains(tuple []int) bool {
 	if len(tuple) != t.arity {
 		return false
 	}
-	if t.flat != nil {
-		f := t.flat
-		lo, hi := t.top0, t.top0+len(t.root.Values)
-		for d, v := range tuple {
-			arr := f.levels[d]
-			i := gallopSearch(arr, lo, hi, lo, v)
-			if i >= hi || arr[i] != v {
-				return false
+	_, found := t.lowerBound(tuple)
+	return found
+}
+
+// lowerBound descends the view along row (len(row) == arity) and
+// returns the leaf position of the first tuple not less than it — the
+// end of the view's leaf range when every tuple is less — and whether
+// that tuple equals row.
+func (t *Tree) lowerBound(row []int) (leaf int, found bool) {
+	f := t.flat
+	lo, hi := t.Top()
+	for d := 0; ; d++ {
+		i := gallopSearch(f.levels[d], lo, hi, lo, row[d])
+		if i == hi || f.levels[d][i] != row[d] {
+			// The answer is the first leaf under entry i (when i == hi,
+			// under whatever follows this sibling range).
+			for ; d < t.arity-1; d++ {
+				i = int(f.offs[d][i])
 			}
-			if d < t.arity-1 {
-				lo, hi = int(f.offs[d][i]), int(f.offs[d][i+1])
-			}
+			return i, false
 		}
-		return true
+		if d == t.arity-1 {
+			return i, true
+		}
+		lo, hi = int(f.offs[d][i]), int(f.offs[d][i+1])
 	}
-	n := t.root
-	for d, v := range tuple {
-		i := sort.SearchInts(n.Values, v)
-		if i >= len(n.Values) || n.Values[i] != v {
-			return false
-		}
-		if d < t.arity-1 {
-			n = n.Children[i]
-		}
+}
+
+// rowAt writes the tuple at the given leaf position into buf (len
+// arity) and returns it: each level's entry is the last one whose child
+// range starts at or before the entry below.
+func (t *Tree) rowAt(leaf int, buf []int) []int {
+	f, p := t.flat, leaf
+	buf[t.arity-1] = f.levels[t.arity-1][p]
+	for d := t.arity - 2; d >= 0; d-- {
+		p = searchOffs(f.offs[d], p+1) - 1
+		buf[d] = f.levels[d][p]
 	}
-	return true
+	return buf
 }
 
 // Tuples materializes all tuples in lexicographic order (mainly for tests
-// and baseline algorithms).
+// and baseline algorithms). The rows are carved from one buffer.
 func (t *Tree) Tuples() [][]int {
-	out := make([][]int, 0, t.size)
-	cur := make([]int, 0, t.arity)
-	var walk func(n *Node, depth int)
-	walk = func(n *Node, depth int) {
-		for i, v := range n.Values {
-			cur = append(cur, v)
-			if depth == t.arity-1 {
-				tup := make([]int, len(cur))
-				copy(tup, cur)
-				out = append(out, tup)
-			} else {
-				walk(n.Children[i], depth+1)
-			}
-			cur = cur[:len(cur)-1]
+	f, k := t.flat, t.arity
+	first, end := t.leaves()
+	flat := make([]int, 0, (end-first)*k)
+	// path[d] is the level-d entry above the current leaf. Entries have
+	// no empty child ranges, so stepping to the next leaf moves each
+	// ancestor by at most one.
+	path := make([]int, k)
+	path[0] = t.top0
+	for d := 0; d < k-1; d++ {
+		path[d+1] = int(f.offs[d][path[d]])
+	}
+	for leaf := first; leaf < end; leaf++ {
+		path[k-1] = leaf
+		for d := k - 2; d >= 0 && int(f.offs[d][path[d]+1]) <= path[d+1]; d-- {
+			path[d]++
+		}
+		for d, p := range path {
+			flat = append(flat, f.levels[d][p])
 		}
 	}
-	if t.root != nil {
-		walk(t.root, 0)
-	}
-	return out
+	return rows.Views(flat, k)
 }
-
-// Root exposes the root node for iterator-based algorithms (leapfrog).
-func (t *Tree) Root() *Node { return t.root }

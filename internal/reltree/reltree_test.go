@@ -9,6 +9,7 @@ import (
 
 	"minesweeper/internal/certificate"
 	"minesweeper/internal/ordered"
+	"minesweeper/internal/rows"
 )
 
 func mustNew(t *testing.T, name string, arity int, tuples [][]int) *Tree {
@@ -218,7 +219,7 @@ func TestTuplesRoundTrip(t *testing.T) {
 			t.Fatalf("round trip size %d, want %d", len(got), len(seen))
 		}
 		for i := 1; i < len(got); i++ {
-			if !lexLess(got[i-1], got[i]) {
+			if rows.Compare(got[i-1], got[i]) >= 0 {
 				t.Fatalf("Tuples not strictly sorted at %d: %v %v", i, got[i-1], got[i])
 			}
 		}

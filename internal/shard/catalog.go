@@ -15,8 +15,8 @@ import (
 
 	minesweeper "minesweeper"
 	"minesweeper/internal/catalog"
-	"minesweeper/internal/ordered"
 	"minesweeper/internal/relio"
+	"minesweeper/internal/rows"
 	"minesweeper/internal/storage"
 )
 
@@ -515,16 +515,8 @@ func readManifest(path string) (*manifest, error) {
 // indexes into tuples by the partition column, so arity and domain must
 // hold before any tuple is routed.
 func checkTuples(name string, arity int, tuples [][]int) error {
-	for i, tup := range tuples {
-		if len(tup) != arity {
-			return fmt.Errorf("catalog: relation %q: tuple %d has %d values, want %d", name, i, len(tup), arity)
-		}
-		for j, v := range tup {
-			if v < 0 || v >= ordered.PosInf {
-				return fmt.Errorf("catalog: relation %q: tuple %d component %d = %d out of domain [0, %d)",
-					name, i, j, v, ordered.PosInf)
-			}
-		}
+	if err := rows.Check(arity, tuples); err != nil {
+		return fmt.Errorf("catalog: relation %q: %w", name, err)
 	}
 	return nil
 }

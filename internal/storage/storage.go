@@ -27,7 +27,10 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+
+	"minesweeper/internal/rows"
 )
 
 // ErrPoisoned marks a backend whose log tail is no longer trustworthy:
@@ -193,6 +196,10 @@ func sortState(s *State) {
 // relation's pre-mutation epoch and is verified against the state; a
 // mismatch means the log does not describe this state and is reported
 // as corruption rather than silently applied.
+//
+// The state takes the record's rows as they are — rows are immutable
+// everywhere, and recovery decodes each record afresh — but never its
+// outer Tuples slice, which a later delete filters in place.
 func (s *State) apply(rec *Record) error {
 	find := func() (int, error) {
 		for i := range s.Relations {
@@ -220,7 +227,7 @@ func (s *State) apply(rec *Record) error {
 			Name:   rec.Name,
 			Vars:   append([]string(nil), rec.Vars...),
 			Epoch:  rec.Epoch,
-			Tuples: copyTuples(rec.Tuples),
+			Tuples: slices.Clone(rec.Tuples),
 		})
 	case OpDrop:
 		i, err := find()
@@ -237,7 +244,7 @@ func (s *State) apply(rec *Record) error {
 			return err
 		}
 		if len(rec.Tuples) > 0 {
-			s.Relations[i].Tuples = append(s.Relations[i].Tuples, copyTuples(rec.Tuples)...)
+			s.Relations[i].Tuples = append(s.Relations[i].Tuples, rec.Tuples...)
 			s.Relations[i].Epoch++
 		}
 	case OpDelete:
@@ -248,14 +255,14 @@ func (s *State) apply(rec *Record) error {
 		if err := checkEpoch(i); err != nil {
 			return err
 		}
-		drop := make(map[string]bool, len(rec.Tuples))
-		for _, tup := range rec.Tuples {
-			drop[tupleKey(tup)] = true
-		}
+		// Membership in the record's rows, sorted once, by binary search:
+		// no per-row key to allocate however large the relation.
+		drop := slices.Clone(rec.Tuples)
+		slices.SortFunc(drop, rows.Compare)
 		kept := s.Relations[i].Tuples[:0]
 		removed := 0
 		for _, tup := range s.Relations[i].Tuples {
-			if drop[tupleKey(tup)] {
+			if _, hit := slices.BinarySearchFunc(drop, tup, rows.Compare); hit {
 				removed++
 				continue
 			}
@@ -273,7 +280,7 @@ func (s *State) apply(rec *Record) error {
 		if err := checkEpoch(i); err != nil {
 			return err
 		}
-		s.Relations[i].Tuples = copyTuples(rec.Tuples)
+		s.Relations[i].Tuples = slices.Clone(rec.Tuples)
 		if len(rec.Vars) > 0 {
 			s.Relations[i].Vars = append([]string(nil), rec.Vars...)
 		}
@@ -302,24 +309,6 @@ func (s *State) apply(rec *Record) error {
 		return fmt.Errorf("storage: unknown record op %d", rec.Op)
 	}
 	return nil
-}
-
-func copyTuples(tuples [][]int) [][]int {
-	out := make([][]int, len(tuples))
-	for i, tup := range tuples {
-		out[i] = append([]int(nil), tup...)
-	}
-	return out
-}
-
-// tupleKey renders a tuple as a map key (delete-set membership).
-func tupleKey(tup []int) string {
-	b := make([]byte, 0, len(tup)*4)
-	for _, v := range tup {
-		b = appendInt(b, v)
-		b = append(b, ' ')
-	}
-	return string(b)
 }
 
 // Mem is the in-memory backend: the historical msserve behavior, now

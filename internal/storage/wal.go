@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
@@ -9,6 +10,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+
+	"minesweeper/internal/rows"
 )
 
 // WAL framing. Each record is a header line followed by zero or more
@@ -148,6 +151,11 @@ type recordReader struct {
 	r      *bufio.Reader
 	off    int64 // bytes consumed so far
 	lineNo int   // lines consumed so far
+	// long collects a line that outgrows the bufio buffer, and payload
+	// the payload lines of the record being read (the CRC must verify
+	// before any of it is decoded); both are reused across records.
+	long    []byte
+	payload []byte
 }
 
 func newRecordReader(r io.Reader, src string) *recordReader {
@@ -158,27 +166,36 @@ func newRecordReader(r io.Reader, src string) *recordReader {
 // the truncation point if the next record turns out to be torn.
 func (rr *recordReader) Offset() int64 { return rr.off }
 
-// readLine returns the next line without its newline. A final line
-// with no terminating newline — a torn write — is reported as
-// errUnterminated; io.EOF means a clean end of stream.
+// readLine returns the next line without its newline; the bytes are
+// valid until the next call. A final line with no terminating newline —
+// a torn write — is reported as errUnterminated; io.EOF means a clean
+// end of stream.
 var errUnterminated = fmt.Errorf("unterminated line")
 
-func (rr *recordReader) readLine() (string, error) {
-	line, err := rr.r.ReadString('\n')
+func (rr *recordReader) readLine() ([]byte, error) {
+	line, err := rr.r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		rr.long = append(rr.long[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = rr.r.ReadSlice('\n')
+			rr.long = append(rr.long, line...)
+		}
+		line = rr.long
+	}
 	if err == io.EOF {
 		if len(line) > 0 {
 			// The torn bytes are NOT counted into off: truncation cuts
 			// them away.
-			return "", errUnterminated
+			return nil, errUnterminated
 		}
-		return "", io.EOF
+		return nil, io.EOF
 	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	rr.off += int64(len(line))
 	rr.lineNo++
-	return strings.TrimSuffix(line, "\n"), nil
+	return line[:len(line)-1], nil
 }
 
 func (rr *recordReader) errf(line int, format string, args ...any) *recordError {
@@ -197,15 +214,15 @@ func (rr *recordReader) Read() (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" {
+		trimmed := bytes.TrimSpace(line)
+		if len(trimmed) == 0 {
 			continue
 		}
-		if strings.HasPrefix(trimmed, recMagic+" ") {
-			header = trimmed
+		if bytes.HasPrefix(trimmed, []byte(recMagic+" ")) {
+			header = string(trimmed)
 			break
 		}
-		if strings.HasPrefix(trimmed, "#") {
+		if trimmed[0] == '#' {
 			continue
 		}
 		return nil, rr.errf(rr.lineNo, "expected record header, got %q", line)
@@ -242,7 +259,7 @@ func (rr *recordReader) Read() (*Record, error) {
 	fmt.Fprintf(crc, "%s %s %s %s\n", fields[1], fields[2], fields[3], fields[4])
 
 	rec := &Record{Op: op, Name: name, Epoch: epoch}
-	payload := make([]string, 0, min(nPayload, 4096))
+	rr.payload = rr.payload[:0]
 	for i := 0; i < nPayload; i++ {
 		line, err := rr.readLine()
 		if err != nil {
@@ -251,39 +268,45 @@ func (rr *recordReader) Read() (*Record, error) {
 			}
 			return nil, err
 		}
-		io.WriteString(crc, line)
-		crc.Write([]byte{'\n'})
-		payload = append(payload, line)
+		rr.payload = append(append(rr.payload, line...), '\n')
 	}
+	crc.Write(rr.payload)
 	if got := crc.Sum32(); got != uint32(wantCRC) {
 		return nil, rr.errf(headLine, "crc mismatch: computed %08x, header says %08x", got, uint32(wantCRC))
 	}
 
-	// CRC verified; decode the payload.
-	tupleLines := payload
+	// CRC verified; decode the payload. next cuts its lines off one at
+	// a time; payloadLine is the file line of the one about to be cut.
+	rest := rr.payload
+	next := func() (line []byte) {
+		line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+		return line
+	}
+	payloadLine := headLine + 1
 	switch op {
 	case OpCreate, OpReplace:
-		if len(payload) == 0 {
+		if nPayload == 0 {
 			return nil, rr.errf(headLine, "%s record without a vars line", op)
 		}
-		for _, f := range strings.Fields(payload[0]) {
+		for _, f := range strings.Fields(string(next())) {
 			v, err := url.PathUnescape(f)
 			if err != nil {
-				return nil, rr.errf(headLine+1, "bad variable %q", f)
+				return nil, rr.errf(payloadLine, "bad variable %q", f)
 			}
 			rec.Vars = append(rec.Vars, v)
 		}
 		if len(rec.Vars) == 0 {
-			return nil, rr.errf(headLine+1, "%s record with an empty vars line", op)
+			return nil, rr.errf(payloadLine, "%s record with an empty vars line", op)
 		}
-		tupleLines = payload[1:]
+		nPayload--
+		payloadLine++
 	case OpPutQuery:
-		if len(payload) != 1 {
-			return nil, rr.errf(headLine, "putquery record with %d payload lines, want 1", len(payload))
+		if nPayload != 1 {
+			return nil, rr.errf(headLine, "putquery record with %d payload lines, want 1", nPayload)
 		}
 		def := &QueryDef{}
-		if err := json.Unmarshal([]byte(payload[0]), def); err != nil {
-			return nil, rr.errf(headLine+1, "bad query definition: %v", err)
+		if err := json.Unmarshal(next(), def); err != nil {
+			return nil, rr.errf(payloadLine, "bad query definition: %v", err)
 		}
 		if def.Name == "" {
 			def.Name = name
@@ -291,22 +314,19 @@ func (rr *recordReader) Read() (*Record, error) {
 		rec.Query = def
 		return rec, nil
 	case OpDrop, OpDropQuery:
-		if len(payload) != 0 {
-			return nil, rr.errf(headLine, "%s record with %d payload lines, want 0", op, len(payload))
+		if nPayload != 0 {
+			return nil, rr.errf(headLine, "%s record with %d payload lines, want 0", op, nPayload)
 		}
 		return rec, nil
 	}
-	rec.Tuples = make([][]int, 0, len(tupleLines))
-	for i, line := range tupleLines {
-		fields := strings.Fields(line)
-		tup := make([]int, len(fields))
-		for j, f := range fields {
-			v, err := strconv.Atoi(f)
-			if err != nil || v < 0 {
-				return nil, rr.errf(headLine+1+(len(payload)-len(tupleLines))+i,
-					"bad tuple value %q (want non-negative integer)", f)
-			}
-			tup[j] = v
+	// The remaining nPayload lines are tuples: parsed straight from the
+	// payload bytes into rows carved from shared chunks.
+	rec.Tuples = make([][]int, 0, nPayload)
+	var block rows.Block
+	for ; nPayload > 0; nPayload, payloadLine = nPayload-1, payloadLine+1 {
+		tup, _, bad := block.ParseRow(next())
+		if bad != "" {
+			return nil, rr.errf(payloadLine, "bad tuple value %q (want non-negative integer)", bad)
 		}
 		rec.Tuples = append(rec.Tuples, tup)
 	}

@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"minesweeper/internal/baseline"
 	"minesweeper/internal/certificate"
@@ -48,290 +47,12 @@ import (
 	"minesweeper/internal/hypergraph"
 	"minesweeper/internal/ordered"
 	"minesweeper/internal/planner"
-	"minesweeper/internal/reltree"
 )
 
 // Stats carries the per-run cost counters of the certificate-complexity
 // analysis: FindGap calls (the paper's empirical |C| proxy), probe
 // points, constraints inserted, CDS work, comparisons, and output count.
 type Stats = certificate.Stats
-
-// Relation is a set of tuples of fixed arity with non-negative integer
-// components (the paper's ℕ domains). The same Relation may be bound by
-// several atoms of a query (self-joins).
-//
-// A Relation owns its index cache: the first execution that needs the
-// relation sorted under some column order builds a search tree and
-// caches it keyed by that column permutation, so later executions —
-// through this query or any other — reuse it. The cache is safe for
-// concurrent use and lives as long as the Relation.
-//
-// Relations are mutable: Insert, Delete and Replace change the stored
-// tuples, bump the relation's epoch and drop the cached indexes, which
-// are lazily rebuilt by the next execution that needs them. Prepared
-// queries bound to an earlier epoch detect the change and transparently
-// re-prepare (see PreparedQuery). All methods are safe for concurrent
-// use.
-type Relation struct {
-	name  string
-	arity int
-
-	mu      sync.Mutex
-	epoch   uint64
-	tuples  [][]int
-	indexes map[string]*reltree.Tree
-	// stats caches the per-column statistics the GAO planner costs
-	// orders from. Computed lazily on first plan, dropped by mutate, so
-	// prepared queries re-plan exactly when the data changed.
-	stats *planner.RelStats
-}
-
-// permKey renders a column permutation as a cache key.
-func permKey(perm []int) string {
-	var b strings.Builder
-	for i, p := range perm {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(p))
-	}
-	return b.String()
-}
-
-// IndexesFor returns the relation's search trees for the given column
-// permutations — building and caching missing ones — together with the
-// epoch the trees reflect. All trees are fetched under a single lock
-// acquisition, so every atom of a query that binds this relation sees
-// one consistent version even while mutations race with the binding
-// (no torn self-joins). Part of the Fragment interface.
-func (r *Relation) IndexesFor(perms [][]int) ([]*reltree.Tree, uint64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	trees := make([]*reltree.Tree, len(perms))
-	for i, perm := range perms {
-		key := permKey(perm)
-		if t, ok := r.indexes[key]; ok {
-			trees[i] = t
-			continue
-		}
-		permuted, err := core.PermuteTuples(perm, r.tuples)
-		if err != nil {
-			return nil, 0, fmt.Errorf("minesweeper: relation %q: %w", r.name, err)
-		}
-		t, err := reltree.New(r.name, len(perm), permuted)
-		if err != nil {
-			return nil, 0, err
-		}
-		if r.indexes == nil {
-			r.indexes = map[string]*reltree.Tree{}
-		}
-		r.indexes[key] = t
-		trees[i] = t
-	}
-	return trees, r.epoch, nil
-}
-
-// CachedIndexes reports how many GAO-permuted indexes the relation
-// currently caches (one per distinct column order it has been queried
-// under).
-func (r *Relation) CachedIndexes() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.indexes)
-}
-
-// NewRelation validates and copies the given tuples. Duplicates are
-// allowed and collapse under set semantics at indexing time.
-func NewRelation(name string, arity int, tuples [][]int) (*Relation, error) {
-	if arity < 1 {
-		return nil, fmt.Errorf("minesweeper: relation %q: arity %d < 1", name, arity)
-	}
-	r := &Relation{name: name, arity: arity}
-	if err := r.checkTuples(tuples); err != nil {
-		return nil, err
-	}
-	cp := make([][]int, len(tuples))
-	for i, tup := range tuples {
-		cp[i] = append([]int(nil), tup...)
-	}
-	r.tuples = cp
-	return r, nil
-}
-
-// Name returns the relation's name.
-func (r *Relation) Name() string { return r.name }
-
-// Arity returns the number of columns.
-func (r *Relation) Arity() int { return r.arity }
-
-// Len returns the number of stored tuples (before deduplication).
-func (r *Relation) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.tuples)
-}
-
-// Epoch returns the relation's mutation counter. Every successful
-// Insert, Delete or Replace that changes the stored tuples increments
-// it; prepared queries use it to detect staleness.
-func (r *Relation) Epoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.epoch
-}
-
-// RestoreEpoch fast-forwards the relation's epoch counter without
-// touching the stored tuples or caches. Storage recovery uses it to
-// rebuild a relation at the epoch its durable log recorded, so prepared
-// queries and planner statistics see the same staleness signal across a
-// restart as they would have in the original process. The epoch can
-// only move forward: rewinding would let a prepared query mistake new
-// data for the version it is bound to.
-func (r *Relation) RestoreEpoch(epoch uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if epoch < r.epoch {
-		return fmt.Errorf("minesweeper: relation %q: cannot rewind epoch %d to %d", r.name, r.epoch, epoch)
-	}
-	r.epoch = epoch
-	return nil
-}
-
-// Tuples returns a snapshot of the stored tuples. The rows are shared
-// with the relation and must not be modified; the outer slice is the
-// caller's.
-func (r *Relation) Tuples() [][]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([][]int(nil), r.tuples...)
-}
-
-// checkTuples validates arity and the index domain [0, ordered.PosInf):
-// rejecting out-of-domain values here, before they are stored, keeps a
-// bad write from poisoning every later execution at index-build time.
-func (r *Relation) checkTuples(tuples [][]int) error {
-	for i, tup := range tuples {
-		if len(tup) != r.arity {
-			return fmt.Errorf("minesweeper: relation %q: tuple %d has %d values, want %d", r.name, i, len(tup), r.arity)
-		}
-		for j, v := range tup {
-			if v < 0 {
-				return fmt.Errorf("minesweeper: relation %q: tuple %d component %d is negative", r.name, i, j)
-			}
-			if v >= ordered.PosInf {
-				return fmt.Errorf("minesweeper: relation %q: tuple %d component %d = %d out of domain [0, %d)", r.name, i, j, v, ordered.PosInf)
-			}
-		}
-	}
-	return nil
-}
-
-// mutate installs the new tuple set, bumps the epoch and drops the
-// cached indexes and planner statistics (both are rebuilt lazily by the
-// next execution). Callers hold r.mu.
-func (r *Relation) mutate(tuples [][]int) {
-	r.tuples = tuples
-	r.epoch++
-	r.indexes = nil
-	r.stats = nil
-}
-
-// ColStats returns the relation's cached per-column statistics,
-// computing them on first use. The cache is dropped by mutate, so the
-// returned snapshot reflects some recent epoch; the planner tolerates
-// slightly stale statistics (they steer order choice, not correctness).
-// Part of the Fragment interface.
-func (r *Relation) ColStats() *planner.RelStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stats == nil {
-		r.stats = planner.Collect(r.tuples, r.arity)
-	}
-	return r.stats
-}
-
-// SnapshotTuples returns the stored tuples (rows shared, outer slice
-// owned by the caller) together with the epoch they reflect, under one
-// lock acquisition. Part of the Fragment interface.
-func (r *Relation) SnapshotTuples() ([][]int, uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([][]int(nil), r.tuples...), r.epoch
-}
-
-// Insert adds the given tuples to the relation. The tuples are
-// validated and copied; duplicates are allowed and collapse under set
-// semantics at indexing time. A successful insert of at least one tuple
-// bumps the relation's epoch and invalidates the cached indexes.
-func (r *Relation) Insert(tuples ...[]int) error {
-	if err := r.checkTuples(tuples); err != nil {
-		return err
-	}
-	if len(tuples) == 0 {
-		return nil
-	}
-	cp := make([][]int, len(tuples))
-	for i, tup := range tuples {
-		cp[i] = append([]int(nil), tup...)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	// Appending in place is safe — Tuples() hands out copies of the
-	// outer slice and indexFor reads it only under r.mu — and keeps a
-	// small insert into a large resident relation O(batch), not O(rows).
-	r.mutate(append(r.tuples, cp...))
-	return nil
-}
-
-// Delete removes every stored copy of each given tuple and reports how
-// many rows were removed. Deleting an absent tuple is not an error.
-// When at least one row is removed the relation's epoch is bumped and
-// the cached indexes are invalidated.
-func (r *Relation) Delete(tuples ...[]int) (int, error) {
-	if err := r.checkTuples(tuples); err != nil {
-		return 0, err
-	}
-	if len(tuples) == 0 {
-		return 0, nil
-	}
-	drop := make(map[string]bool, len(tuples))
-	for _, tup := range tuples {
-		drop[permKey(tup)] = true
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	next := make([][]int, 0, len(r.tuples))
-	removed := 0
-	for _, tup := range r.tuples {
-		if drop[permKey(tup)] {
-			removed++
-			continue
-		}
-		next = append(next, tup)
-	}
-	if removed > 0 {
-		r.mutate(next)
-	}
-	return removed, nil
-}
-
-// Replace swaps the relation's contents for the given tuples (validated
-// and copied), bumping the epoch and invalidating the cached indexes.
-// Prepared queries bound to the relation transparently pick up the new
-// contents on their next execution.
-func (r *Relation) Replace(tuples [][]int) error {
-	if err := r.checkTuples(tuples); err != nil {
-		return err
-	}
-	next := make([][]int, len(tuples))
-	for i, tup := range tuples {
-		next[i] = append([]int(nil), tup...)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.mutate(next)
-	return nil
-}
 
 // Atom binds a relation's columns to query variables. A Vars entry that
 // is a non-negative integer literal (e.g. "7" in R(x, 7)) is a constant

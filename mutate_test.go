@@ -15,7 +15,8 @@ func TestRelationMutators(t *testing.T) {
 	if r.Epoch() != 0 {
 		t.Fatalf("fresh epoch = %d", r.Epoch())
 	}
-	// Build an index, then mutate: the cache must be dropped.
+	// Build an index, then mutate: the cached index is carried (the next
+	// execution merges the batch into it), not dropped.
 	q, err := NewQuery(Atom{Rel: r, Vars: []string{"A", "B"}})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +30,7 @@ func TestRelationMutators(t *testing.T) {
 	if err := r.Insert([]int{5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Epoch() != 1 || r.Len() != 3 || r.CachedIndexes() != 0 {
+	if r.Epoch() != 1 || r.Len() != 3 || r.CachedIndexes() != 1 {
 		t.Fatalf("after Insert: epoch=%d len=%d cached=%d", r.Epoch(), r.Len(), r.CachedIndexes())
 	}
 

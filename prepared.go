@@ -34,8 +34,9 @@ import (
 // running — the caller never re-prepares by hand. Re-planning recosts
 // the GAO from fresh statistics (a forced Options.GAO is kept as-is);
 // when the chosen order is unchanged, re-binding pulls indexes from the
-// relations' caches, so only the mutated relations pay an index rebuild
-// and executions against unmutated relations keep the zero-rebuild warm
+// relations' caches, so only the mutated relations pay for a new index
+// — the mutation batches merged into the cached one, not a rebuild —
+// and executions against unmutated relations keep the zero-build warm
 // path.
 type PreparedQuery struct {
 	query  *Query
