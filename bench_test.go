@@ -1,15 +1,13 @@
-// Benchmark harness: one testing.B benchmark per experiment in DESIGN.md's
-// index (E1–E9), regenerating the paper's Figure 2 measurement and the
-// per-theorem scaling behaviours, plus micro-benchmarks of the substrate
-// data structures. The experiment bodies live in internal/benchsuite so
-// the same measurements feed both `go test -bench` and the tracked
-// BENCH_<n>.json trajectory written by `msbench -json`. Run with:
+// Benchmarks of the public API and of substrate pieces that are not
+// workloads of the E-suite. The tracked suite — every experiment's cases
+// behind one generic loop, with the certificate counters reported per
+// operation — lives in internal/esuite:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench Suite -benchmem ./internal/esuite
 //
-// Reported custom metrics: findgaps/op is the paper's certificate-size
-// measurement, probes/op the outer-loop iterations, cdsops/op the
-// constraint-store work.
+// Run the ones here with:
+//
+//	go test -run '^$' -bench . -benchmem .
 package minesweeper
 
 import (
@@ -17,37 +15,11 @@ import (
 	"testing"
 
 	"minesweeper/internal/baseline"
-	"minesweeper/internal/benchsuite"
-	"minesweeper/internal/certificate"
 	"minesweeper/internal/core"
 	"minesweeper/internal/dataset"
 	"minesweeper/internal/ordered"
 	"minesweeper/internal/reltree"
 )
-
-func report(b *testing.B, s *certificate.Stats, n int) {
-	b.ReportMetric(float64(s.FindGaps)/float64(n), "findgaps/op")
-	b.ReportMetric(float64(s.ProbePoints)/float64(n), "probes/op")
-	b.ReportMetric(float64(s.CDSOps)/float64(n), "cdsops/op")
-	b.ReportMetric(float64(s.Boxes)/float64(n), "boxes/op")
-	b.ReportMetric(float64(s.BoxSkips)/float64(n), "boxskips/op")
-}
-
-// --- E1: Figure 2 -----------------------------------------------------
-
-func BenchmarkFigure2Star(b *testing.B) { benchsuite.Fig2Star(b) }
-func BenchmarkFigure2Path(b *testing.B) { benchsuite.Fig2Path(b) }
-func BenchmarkFigure2Tree(b *testing.B) { benchsuite.Fig2Tree(b) }
-
-// --- E2: Theorem 2.7 β-acyclic scaling --------------------------------
-
-func BenchmarkBetaAcyclicScaling(b *testing.B) {
-	for _, M := range []int{16, 32, 64} {
-		b.Run(fmt.Sprintf("M=%d", M), func(b *testing.B) {
-			benchsuite.BetaAcyclic(b, M)
-		})
-	}
-}
 
 // --- E3: Appendix J — Minesweeper vs WCOJ baselines -------------------
 
@@ -65,9 +37,6 @@ func benchmarkAppendixJ(b *testing.B, M int, run func(*core.Problem, []string, [
 	}
 }
 
-func BenchmarkAppendixJMinesweeper(b *testing.B) { benchsuite.AppendixJMinesweeper(b) }
-func BenchmarkAppendixJLeapfrog(b *testing.B)    { benchsuite.AppendixJLeapfrog(b) }
-
 func BenchmarkAppendixJNPRR(b *testing.B) {
 	benchmarkAppendixJ(b, 64, func(p *core.Problem, _ []string, _ []core.AtomSpec) error {
 		_, err := baseline.NPRRAll(p, nil)
@@ -83,9 +52,6 @@ func BenchmarkAppendixJYannakakis(b *testing.B) {
 }
 
 // --- E4: Appendix H set intersection -----------------------------------
-
-func BenchmarkSetIntersectionBlocks(b *testing.B)      { benchsuite.SetIntersectionBlocks(b) }
-func BenchmarkSetIntersectionInterleaved(b *testing.B) { benchsuite.SetIntersectionInterleaved(b) }
 
 // BenchmarkIntersectCrossover sweeps the max/min set-size ratio across
 // the adaptive switch point, running both strategies at every ratio.
@@ -124,14 +90,7 @@ func BenchmarkIntersectCrossover(b *testing.B) {
 	}
 }
 
-// --- E5: Appendix I bow-tie --------------------------------------------
-
-func BenchmarkBowtieHiddenGap(b *testing.B) { benchsuite.Bowtie(b) }
-
 // --- E6: Theorem 5.4 triangle ------------------------------------------
-
-func BenchmarkTriangleSpecialized(b *testing.B) { benchsuite.TriangleSpecialized(b) }
-func BenchmarkTriangleGeneric(b *testing.B)     { benchsuite.TriangleGeneric(b) }
 
 func BenchmarkTriangleLeapfrog(b *testing.B) {
 	r, s, t := dataset.TriangleHard(128)
@@ -151,69 +110,7 @@ func BenchmarkTriangleLeapfrog(b *testing.B) {
 	}
 }
 
-func BenchmarkTriangleListingGraph(b *testing.B) {
-	g := dataset.PowerLawGraph(600, 8, true, 5)
-	r, s, t := dataset.TriangleGraph(g)
-	var stats certificate.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Triangle(r, s, t, &stats); err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, &stats, b.N)
-}
-
-// --- E7: Proposition 5.3 treewidth family -------------------------------
-
-func BenchmarkTreewidthFamily(b *testing.B) {
-	for _, m := range []int{16, 32} {
-		b.Run(fmt.Sprintf("w=2/m=%d", m), func(b *testing.B) {
-			benchsuite.Treewidth(b, m)
-		})
-	}
-}
-
-// --- E8: Example 4.1 memoization ----------------------------------------
-
-func BenchmarkMemoization(b *testing.B) { benchsuite.Memoization(b) }
-
-// --- E9: Examples B.3/B.4 GAO dependence --------------------------------
-
-func BenchmarkGAODependenceABC(b *testing.B) {
-	benchsuite.GAODependence(b, []string{"A", "B", "C"})
-}
-func BenchmarkGAODependenceCAB(b *testing.B) {
-	benchsuite.GAODependence(b, []string{"C", "A", "B"})
-}
-
-// --- E10/E11: selection pushdown and streaming aggregation ---------------
-
-func BenchmarkSelectivePushdown(b *testing.B)   { benchsuite.SelectivePushdown(b) }
-func BenchmarkSelectivePostFilter(b *testing.B) { benchsuite.SelectivePostFilter(b) }
-func BenchmarkAggregateGroupCount(b *testing.B) { benchsuite.AggregateGroupCount(b) }
-
-// --- E12: data-aware GAO planning + dense-domain dictionaries --------
-
-func BenchmarkSparseSkewDefault(b *testing.B)         { benchsuite.SparseSkewDefault(b) }
-func BenchmarkSparseSkewPlanned(b *testing.B)         { benchsuite.SparseSkewPlanned(b) }
-func BenchmarkSparseHeavyEnumDefault(b *testing.B)    { benchsuite.SparseHeavyEnumDefault(b) }
-func BenchmarkSparseHeavyEnumPlannedRaw(b *testing.B) { benchsuite.SparseHeavyEnumPlannedRaw(b) }
-func BenchmarkSparseHeavyEnumPlanned(b *testing.B)    { benchsuite.SparseHeavyEnumPlanned(b) }
-
-// --- E13: clustered joins, box-cover vs interval-only CDS ------------
-
-func BenchmarkClusteredBandBoxes(b *testing.B)           { benchsuite.ClusteredBandBoxes(b) }
-func BenchmarkClusteredBandIntervalOnly(b *testing.B)    { benchsuite.ClusteredBandIntervalOnly(b) }
-func BenchmarkClusteredOverlapBoxes(b *testing.B)        { benchsuite.ClusteredOverlapBoxes(b) }
-func BenchmarkClusteredOverlapIntervalOnly(b *testing.B) { benchsuite.ClusteredOverlapIntervalOnly(b) }
-
 // --- Substrate micro-benchmarks ------------------------------------------
-
-func BenchmarkCDSProbeInsertLoop(b *testing.B) { benchsuite.CDSProbeInsertLoop(b) }
-func BenchmarkCDSInsConstraint(b *testing.B)   { benchsuite.CDSInsConstraint(b) }
-
-func BenchmarkRangeSetInsert(b *testing.B) { benchsuite.RangeSetInsert(b) }
 
 func BenchmarkRangeSetNext(b *testing.B) {
 	rs := ordered.NewRangeSet()
@@ -225,8 +122,6 @@ func BenchmarkRangeSetNext(b *testing.B) {
 		rs.Next(i % 100000)
 	}
 }
-
-func BenchmarkSortedListInsertDelete(b *testing.B) { benchsuite.SortedListInsertDelete(b) }
 
 func BenchmarkFindGap(b *testing.B) {
 	tuples := make([][]int, 100000)
@@ -302,49 +197,6 @@ func BenchmarkTriangleParallel(b *testing.B) {
 			}
 		})
 	}
-}
-
-func BenchmarkBTreeVsSortedListInsert(b *testing.B) {
-	const n = 10000
-	b.Run("btree", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := ordered.NewBTree[int]()
-			for j := 0; j < n; j++ {
-				t.Insert((j*2654435761)%1000000, j)
-			}
-		}
-	})
-	b.Run("avl", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			t := ordered.NewSortedList[int]()
-			for j := 0; j < n; j++ {
-				t.Insert((j*2654435761)%1000000, j)
-			}
-		}
-	})
-}
-
-func BenchmarkBTreeVsSortedListLookup(b *testing.B) {
-	const n = 100000
-	bt := ordered.NewBTree[int]()
-	av := ordered.NewSortedList[int]()
-	for j := 0; j < n; j++ {
-		k := (j * 2654435761) % 10000000
-		bt.Insert(k, j)
-		av.Insert(k, j)
-	}
-	b.Run("btree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bt.FindLub(i % 10000000)
-		}
-	})
-	b.Run("avl", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			av.FindLub(i % 10000000)
-		}
-	})
 }
 
 func BenchmarkExecuteLimitAnytime(b *testing.B) {
@@ -463,34 +315,4 @@ func BenchmarkPreparedVsCold(b *testing.B) {
 			b.Fatalf("prepared limit re-execution rebuilt %d indexes", got-before)
 		}
 	})
-}
-
-func BenchmarkSetIntersectionMergeVariant(b *testing.B) {
-	sets := dataset.InterleavedSets(4, 5000)
-	var stats certificate.Stats
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.IntersectSetsMerge(sets, &stats); err != nil {
-			b.Fatal(err)
-		}
-	}
-	report(b, &stats, b.N)
-}
-
-func BenchmarkIntersectAdaptiveSkewed(b *testing.B) { benchsuite.IntersectAdaptiveSkewed(b) }
-
-// --- E14: durability (storage-layer WAL + recovery) -------------------
-
-func BenchmarkDurableAppend(b *testing.B) {
-	b.Run("mem", benchsuite.DurableAppendMem)
-	b.Run("wal", benchsuite.DurableAppendWAL)
-	b.Run("wal-fsync", benchsuite.DurableAppendWALFsync)
-}
-
-func BenchmarkDurableRecovery(b *testing.B) {
-	for _, n := range []int{1024, 16384} {
-		b.Run(fmt.Sprintf("wal=%d", n), func(b *testing.B) {
-			benchsuite.DurableRecovery(b, n)
-		})
-	}
 }

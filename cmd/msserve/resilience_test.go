@@ -177,7 +177,9 @@ func TestReopenLoopLeavesDegradedMode(t *testing.T) {
 // TestReopenBackoffPerTarget: each degraded target keeps an independent
 // capped-exponential schedule — a stubbornly failing replica retries on
 // its own clock and never delays the recovery of a healthy sibling.
-func TestReopenBackoffPerTarget(t *testing.T) {
+func TestReopenBackoffPerTarget(t *testing.T) { eachStore(t, testReopenBackoffPerTarget) }
+
+func testReopenBackoffPerTarget(t *testing.T, stc storeConfig) {
 	var goodDone atomic.Bool
 	var goodCalls, badCalls atomic.Int64
 	cfg := defaultServerConfig()
@@ -198,7 +200,7 @@ func TestReopenBackoffPerTarget(t *testing.T) {
 		}
 		return out
 	}
-	s := newServerWith(newTestCatalog(t), cfg)
+	s := newServerWith(newTestCatalog(t, stc), cfg)
 	defer s.Close()
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -219,7 +221,9 @@ func TestReopenBackoffPerTarget(t *testing.T) {
 // 500 before the first tuple, a terminal NDJSON error record after —
 // and never takes the process down. The /stats panic counter records
 // both.
-func TestPanicIsolation(t *testing.T) {
+func TestPanicIsolation(t *testing.T) { eachStore(t, testPanicIsolation) }
+
+func testPanicIsolation(t *testing.T, stc storeConfig) {
 	var calls atomic.Int64
 	panicAt := atomic.Int64{}
 	cfg := defaultServerConfig()
@@ -228,7 +232,7 @@ func TestPanicIsolation(t *testing.T) {
 			panic("kaboom")
 		}
 	}
-	s := newServerWith(newTestCatalog(t), cfg)
+	s := newServerWith(newTestCatalog(t, stc), cfg)
 	defer s.Close()
 	wantStatus(t, do(t, s, "POST", "/relations", "R: A B\n1 2\n2 3\n4 1\n"), http.StatusOK)
 	wantStatus(t, do(t, s, "POST", "/relations", "S: B C\n2 5\n3 7\n3 9\n"), http.StatusOK)
@@ -273,10 +277,12 @@ func TestPanicIsolation(t *testing.T) {
 // TestServerSideDeadline: with no client timeout at all, -run-timeout
 // still bounds the run, and expiry before the first tuple maps to 504
 // (counted apart from client cancels).
-func TestServerSideDeadline(t *testing.T) {
+func TestServerSideDeadline(t *testing.T) { eachStore(t, testServerSideDeadline) }
+
+func testServerSideDeadline(t *testing.T, stc storeConfig) {
 	cfg := defaultServerConfig()
 	cfg.runTimeout = time.Nanosecond
-	s := newServerWith(newTestCatalog(t), cfg)
+	s := newServerWith(newTestCatalog(t, stc), cfg)
 	defer s.Close()
 	wantStatus(t, do(t, s, "POST", "/relations", "R: A B\n1 2\n"), http.StatusOK)
 	wantStatus(t, do(t, s, "POST", "/queries", `{"name":"r","query":"R(A,B)"}`), http.StatusOK)
@@ -292,13 +298,15 @@ func TestServerSideDeadline(t *testing.T) {
 // queued: inflight must never exceed the cap, the overflow must be
 // shed with 429 + Retry-After, and every admitted run must complete
 // correctly. Mutations ride along through their own gate.
-func TestAdmissionSoak(t *testing.T) {
+func TestAdmissionSoak(t *testing.T) { eachStore(t, testAdmissionSoak) }
+
+func testAdmissionSoak(t *testing.T, stc storeConfig) {
 	cfg := defaultServerConfig()
 	cfg.maxRuns = 3
 	cfg.maxMutations = 2
 	cfg.queueDepth = 2
 	cfg.emitHook = func([]int) { time.Sleep(2 * time.Millisecond) }
-	s := newServerWith(newTestCatalog(t), cfg)
+	s := newServerWith(newTestCatalog(t, stc), cfg)
 	defer s.Close()
 	wantStatus(t, do(t, s, "POST", "/relations", "R: A B\n1 2\n2 3\n4 1\n"), http.StatusOK)
 	wantStatus(t, do(t, s, "POST", "/relations", "S: B C\n2 5\n3 7\n3 9\n"), http.StatusOK)
@@ -387,7 +395,9 @@ func TestAdmissionSoak(t *testing.T) {
 // TestDrainAbortEmitsTerminalRecord: when the drain deadline fires,
 // abortStreams ends an in-flight NDJSON stream with a terminal footer
 // ("aborted": true + error) instead of just cutting the connection.
-func TestDrainAbortEmitsTerminalRecord(t *testing.T) {
+func TestDrainAbortEmitsTerminalRecord(t *testing.T) { eachStore(t, testDrainAbortEmitsTerminalRecord) }
+
+func testDrainAbortEmitsTerminalRecord(t *testing.T, stc storeConfig) {
 	firstOut := make(chan struct{})
 	released := make(chan struct{})
 	var calls atomic.Int64
@@ -400,7 +410,7 @@ func TestDrainAbortEmitsTerminalRecord(t *testing.T) {
 			<-released
 		}
 	}
-	s := newServerWith(newTestCatalog(t), cfg)
+	s := newServerWith(newTestCatalog(t, stc), cfg)
 	defer s.Close()
 	wantStatus(t, do(t, s, "POST", "/relations", "R: A B\n1 2\n2 3\n4 1\n"), http.StatusOK)
 	wantStatus(t, do(t, s, "POST", "/relations", "S: B C\n2 5\n3 7\n3 9\n"), http.StatusOK)
@@ -450,10 +460,12 @@ func TestDrainAbortEmitsTerminalRecord(t *testing.T) {
 // looser timeout than -run-timeout gets the server's deadline; a
 // tighter one is honored. (Verified through the effective 504/200
 // behavior rather than timing.)
-func TestClientTimeoutClamp(t *testing.T) {
+func TestClientTimeoutClamp(t *testing.T) { eachStore(t, testClientTimeoutClamp) }
+
+func testClientTimeoutClamp(t *testing.T, stc storeConfig) {
 	cfg := defaultServerConfig()
 	cfg.runTimeout = time.Nanosecond
-	s := newServerWith(newTestCatalog(t), cfg)
+	s := newServerWith(newTestCatalog(t, stc), cfg)
 	defer s.Close()
 	wantStatus(t, do(t, s, "POST", "/relations", "R: A B\n1 2\n"), http.StatusOK)
 	wantStatus(t, do(t, s, "POST", "/queries", `{"name":"r","query":"R(A,B)"}`), http.StatusOK)
@@ -463,7 +475,7 @@ func TestClientTimeoutClamp(t *testing.T) {
 	// And the other direction: a generous server deadline does not
 	// override a tight client timeout.
 	cfg2 := defaultServerConfig()
-	s2 := newServerWith(newTestCatalog(t), cfg2)
+	s2 := newServerWith(newTestCatalog(t, stc), cfg2)
 	defer s2.Close()
 	wantStatus(t, do(t, s2, "POST", "/relations", "R: A B\n1 2\n"), http.StatusOK)
 	wantStatus(t, do(t, s2, "POST", "/queries", `{"name":"r","query":"R(A,B)"}`), http.StatusOK)

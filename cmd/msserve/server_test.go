@@ -7,9 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -18,66 +16,70 @@ import (
 	"minesweeper/internal/storage"
 )
 
-// newTestCatalog builds the store on the backend selected by
-// MS_TEST_BACKEND, so the whole HTTP suite also runs with every
-// mutation flowing through a WAL ("durable") as in CI's durable pass,
-// or through the fault-injection wrapper with a benign chaos script
-// ("faulty": fail-soft compaction errors plus op delays the serving
-// layer must absorb without any expectation changing). MS_SHARDS >= 2
-// additionally runs the whole suite over a sharded store (in-memory or
-// per-shard durable, matching MS_TEST_BACKEND) — every handler
-// expectation must hold unchanged under scatter-gather execution.
-func newTestCatalog(t testing.TB) store {
+// storeConfig is one store the serving suite runs over: a backend
+// ("memory"; "durable", every mutation through a WAL; "faulty", the WAL
+// behind the fault-injection wrapper with a benign chaos script —
+// fail-soft compaction errors plus op delays the serving layer must
+// absorb) at a shard × replica count. 1×1 is the unsharded catalog;
+// anything larger is the sharded store, per-shard durable when the
+// backend is.
+type storeConfig struct {
+	backend          string
+	shards, replicas int
+}
+
+func (c storeConfig) String() string {
+	return fmt.Sprintf("%s-%dx%d", c.backend, c.shards, c.replicas)
+}
+
+// eachStore runs a suite test once per store configuration, as
+// subtests. No handler expectation may depend on the configuration: the
+// sharded stream is byte-identical to the unsharded one, and the suite
+// must be oblivious to replication and to benign storage faults.
+func eachStore(t *testing.T, test func(t *testing.T, stc storeConfig)) {
+	for _, backend := range []string{"memory", "durable", "faulty"} {
+		for _, size := range [][2]int{{1, 1}, {4, 1}, {1, 2}, {4, 2}} {
+			cfg := storeConfig{backend, size[0], size[1]}
+			t.Run(cfg.String(), func(t *testing.T) { test(t, cfg) })
+		}
+	}
+}
+
+// benignChaos is the "faulty" backend's script.
+const benignChaos = "compact@1/2=err; sync@1/3=delay:100us; append@1/7=delay:50us"
+
+func newTestCatalog(t testing.TB, stc storeConfig) store {
 	t.Helper()
-	mode := os.Getenv("MS_TEST_BACKEND")
-	n, _ := strconv.Atoi(os.Getenv("MS_SHARDS"))
-	r, _ := strconv.Atoi(os.Getenv("MS_REPLICAS"))
-	if r < 1 {
-		r = 1
-	}
-	if n >= 2 || r >= 2 {
-		if n < 1 {
-			n = 1
+	sopts := storage.Options{CompactMinBytes: 256}
+	if stc.shards > 1 || stc.replicas > 1 {
+		if stc.backend == "memory" {
+			return shardStore{shard.NewReplicated(stc.shards, stc.replicas)}
 		}
-		sopts := storage.Options{CompactMinBytes: 256}
-		switch mode {
-		case "durable":
-			sc, err := shard.OpenReplicated(t.TempDir(), n, r, sopts)
-			if err != nil {
-				t.Fatal(err)
+		dir := t.TempDir()
+		c, err := shard.OpenWith(dir, stc.shards, stc.replicas, sopts, func(shardIdx, rep int) (storage.Backend, error) {
+			d, err := storage.OpenDurable(shard.ReplicaDir(dir, shardIdx, rep), sopts)
+			if err != nil || stc.backend == "durable" {
+				return d, err
 			}
-			t.Cleanup(func() { sc.Close() })
-			return shardStore{sc}
-		case "faulty":
-			// Benign chaos on every replica's WAL: fail-soft compaction
-			// errors and op delays no handler expectation may notice.
-			dir := t.TempDir()
-			sc, err := shard.OpenWith(dir, n, r, sopts, func(shardIdx, rep int) (storage.Backend, error) {
-				d, err := storage.OpenDurable(shard.ReplicaDir(dir, shardIdx, rep), sopts)
-				if err != nil {
-					return nil, err
-				}
-				return storage.NewFaulty(d, "compact@1/2=err; sync@1/3=delay:100us; append@1/7=delay:50us")
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { sc.Close() })
-			return shardStore{sc}
+			return storage.NewFaulty(d, benignChaos)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return shardStore{shard.NewReplicated(n, r)}
+		t.Cleanup(func() { c.Close() })
+		return shardStore{c}
 	}
-	if mode != "durable" && mode != "faulty" {
+	if stc.backend == "memory" {
 		return singleStore{catalog.New()}
 	}
 	var b storage.Backend
-	db, err := storage.OpenDurable(t.TempDir(), storage.Options{CompactMinBytes: 256})
+	db, err := storage.OpenDurable(t.TempDir(), sopts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b = db
-	if mode == "faulty" {
-		f, err := storage.NewFaulty(db, "compact@1/2=err; sync@1/3=delay:100us; append@1/7=delay:50us")
+	if stc.backend == "faulty" {
+		f, err := storage.NewFaulty(db, benignChaos)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,9 +150,9 @@ func parseRun(t *testing.T, body *bytes.Buffer) runResponse {
 }
 
 // newTestServer loads the R ⋈ S fixture and registers query "rs".
-func newTestServer(t *testing.T) *server {
+func newTestServer(t *testing.T, stc storeConfig) *server {
 	t.Helper()
-	s := newServer(newTestCatalog(t))
+	s := newServer(newTestCatalog(t, stc))
 	wantStatus(t, do(t, s, "POST", "/relations", "R: A B\n1 2\n2 3\n4 1\n"), http.StatusOK)
 	wantStatus(t, do(t, s, "POST", "/relations", "S: B C\n2 5\n3 7\n3 9\n"), http.StatusOK)
 	wantStatus(t, do(t, s, "POST", "/queries",
@@ -158,8 +160,10 @@ func newTestServer(t *testing.T) *server {
 	return s
 }
 
-func TestRelationEndpoints(t *testing.T) {
-	s := newTestServer(t)
+func TestRelationEndpoints(t *testing.T) { eachStore(t, testRelationEndpoints) }
+
+func testRelationEndpoints(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 
 	rec := do(t, s, "GET", "/relations", "")
 	wantStatus(t, rec, http.StatusOK)
@@ -188,8 +192,10 @@ func TestRelationEndpoints(t *testing.T) {
 	wantStatus(t, do(t, s, "DELETE", "/relations/S", ""), http.StatusNotFound)
 }
 
-func TestQueryRegisterAndRun(t *testing.T) {
-	s := newTestServer(t)
+func TestQueryRegisterAndRun(t *testing.T) { eachStore(t, testQueryRegisterAndRun) }
+
+func testQueryRegisterAndRun(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 
 	rec := do(t, s, "GET", "/queries/rs/run", "")
 	wantStatus(t, rec, http.StatusOK)
@@ -251,7 +257,11 @@ func TestQueryRegisterAndRun(t *testing.T) {
 // the already-registered prepared query serves the new data on its next
 // run, with no re-registration.
 func TestMutationFlowsThroughRegisteredQuery(t *testing.T) {
-	s := newTestServer(t)
+	eachStore(t, testMutationFlowsThroughRegisteredQuery)
+}
+
+func testMutationFlowsThroughRegisteredQuery(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 
 	run := parseRun(t, do(t, s, "GET", "/queries/rs/run", "").Body)
 	if len(run.tuples) != 3 {
@@ -291,7 +301,11 @@ func TestMutationFlowsThroughRegisteredQuery(t *testing.T) {
 // relation was dropped (or dropped and re-created) must refuse to run
 // rather than silently serve the stale pre-drop data.
 func TestDroppedRelationRefusesStaleQuery(t *testing.T) {
-	s := newTestServer(t)
+	eachStore(t, testDroppedRelationRefusesStaleQuery)
+}
+
+func testDroppedRelationRefusesStaleQuery(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 	wantStatus(t, do(t, s, "DELETE", "/relations/S", ""), http.StatusOK)
 	wantStatus(t, do(t, s, "GET", "/queries/rs/run", ""), http.StatusGone)
 	// Re-creating under the same name is a different relation object:
@@ -306,8 +320,10 @@ func TestDroppedRelationRefusesStaleQuery(t *testing.T) {
 	}
 }
 
-func TestAdhocQueryAndTimeout(t *testing.T) {
-	s := newTestServer(t)
+func TestAdhocQueryAndTimeout(t *testing.T) { eachStore(t, testAdhocQueryAndTimeout) }
+
+func testAdhocQueryAndTimeout(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 
 	rec := do(t, s, "POST", "/query", `{"query":"R(A,B), S(B,C)","limit":1,"engine":"leapfrog"}`)
 	wantStatus(t, rec, http.StatusOK)
@@ -326,8 +342,10 @@ func TestAdhocQueryAndTimeout(t *testing.T) {
 	wantStatus(t, do(t, s, "POST", "/query", `{}`), http.StatusBadRequest)
 }
 
-func TestStatsEndpoint(t *testing.T) {
-	s := newTestServer(t)
+func TestStatsEndpoint(t *testing.T) { eachStore(t, testStatsEndpoint) }
+
+func testStatsEndpoint(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 	for i := 0; i < 3; i++ {
 		wantStatus(t, do(t, s, "GET", "/queries/rs/run", ""), http.StatusOK)
 	}
@@ -373,8 +391,10 @@ func TestStatsEndpoint(t *testing.T) {
 
 // TestRunStreamsInOrder pins the NDJSON tuple order to the GAO-lex
 // order shared by every engine.
-func TestRunStreamsInOrder(t *testing.T) {
-	s := newTestServer(t)
+func TestRunStreamsInOrder(t *testing.T) { eachStore(t, testRunStreamsInOrder) }
+
+func testRunStreamsInOrder(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 	var runs [][][]int
 	for _, eng := range []string{"minesweeper", "leapfrog"} {
 		run := parseRun(t, do(t, s, "GET", fmt.Sprintf("/queries/rs/run?engine=%s", eng), "").Body)
@@ -399,8 +419,10 @@ func TestRunStreamsInOrder(t *testing.T) {
 // TestQueryShapingOverHTTP covers the select/where/constant surface:
 // textual clauses in the query expression, the spec-level select/where
 // fields, the vars-vs-gao header invariant, and negative limits.
-func TestQueryShapingOverHTTP(t *testing.T) {
-	s := newTestServer(t)
+func TestQueryShapingOverHTTP(t *testing.T) { eachStore(t, testQueryShapingOverHTTP) }
+
+func testQueryShapingOverHTTP(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 
 	// Constants + clauses inside the query expression. R ⋈ S joins to
 	// (A,B,C) ∈ {(1,2,5),(2,3,7),(2,3,9)}; B = 3 keeps the last two.
@@ -467,8 +489,10 @@ func TestQueryShapingOverHTTP(t *testing.T) {
 // carry the plan — GAO, width, cost estimate and planned flag — so
 // clients can see what order a served query runs under without an
 // extra round trip.
-func TestExplainInQueryResponses(t *testing.T) {
-	s := newTestServer(t)
+func TestExplainInQueryResponses(t *testing.T) { eachStore(t, testExplainInQueryResponses) }
+
+func testExplainInQueryResponses(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 
 	rec := do(t, s, "POST", "/queries", `{"name":"rs2","query":"R(x, y), S(y, z)"}`)
 	wantStatus(t, rec, http.StatusOK)
@@ -514,7 +538,11 @@ func TestExplainInQueryResponses(t *testing.T) {
 // the order the stream is actually sorted by (the run refreshes the
 // plan before writing the header).
 func TestRunHeaderGAOMatchesEmissionOrder(t *testing.T) {
-	s := newTestServer(t)
+	eachStore(t, testRunHeaderGAOMatchesEmissionOrder)
+}
+
+func testRunHeaderGAOMatchesEmissionOrder(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 	// Mutate R so the next run re-plans against fresh statistics.
 	wantStatus(t, do(t, s, "POST", "/relations/R/insert", `{"tuples":[[9,2],[7,3],[8,2]]}`), http.StatusOK)
 	rec := do(t, s, "GET", "/queries/rs/run", "")
@@ -554,7 +582,11 @@ func TestRunHeaderGAOMatchesEmissionOrder(t *testing.T) {
 // gao must match what the next run's stream header says, not the
 // registration-time copy.
 func TestListQueriesExplainTracksMutations(t *testing.T) {
-	s := newTestServer(t)
+	eachStore(t, testListQueriesExplainTracksMutations)
+}
+
+func testListQueriesExplainTracksMutations(t *testing.T, stc storeConfig) {
+	s := newTestServer(t, stc)
 	wantStatus(t, do(t, s, "POST", "/relations/R/insert", `{"tuples":[[9,2],[7,3],[8,2]]}`), http.StatusOK)
 
 	rec := do(t, s, "GET", "/queries", "")

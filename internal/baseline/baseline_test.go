@@ -159,14 +159,6 @@ func TestAllEnginesAgree(t *testing.T) {
 				t.Fatalf("%s/%d: minesweeper %v want %v", shape.name, trial, ms, want)
 			}
 
-			inl, err := IndexNestedLoopAll(p, nil)
-			if err != nil {
-				t.Fatalf("%s/%d inl: %v", shape.name, trial, err)
-			}
-			if !reflect.DeepEqual(inl, want) {
-				t.Fatalf("%s/%d: index-nested-loop %v want %v", shape.name, trial, inl, want)
-			}
-
 			if shape.alpha {
 				ya, err := Yannakakis(shape.gao, atoms, nil)
 				if err != nil {

@@ -3,7 +3,6 @@ package catalog
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -14,18 +13,24 @@ import (
 	"minesweeper/internal/storage"
 )
 
-// newCatalog builds a catalog on the backend selected by
-// MS_TEST_BACKEND: "durable" runs the whole suite against a WAL in a
-// temp directory, with a tiny compaction threshold so snapshot
-// rotation happens mid-test; "faulty" layers the fault-injection
-// backend on top with a benign chaos script (fail-soft compaction
-// errors plus op delays — faults the suite must survive without any
-// test changing its expectations); anything else is the in-memory
-// backend.
-func newCatalog(t testing.TB) *Catalog {
+// backends are the storage configurations every suite test of this
+// file runs under, as subtests: "memory"; "durable", a WAL in a temp
+// directory with a tiny compaction threshold so snapshot rotation
+// happens mid-test; and "faulty", the fault-injection backend layered on
+// top with a benign chaos script (fail-soft compaction errors plus op
+// delays — faults the suite must survive without any test changing its
+// expectations).
+var backends = []string{"memory", "durable", "faulty"}
+
+func eachBackend(t *testing.T, test func(t *testing.T, backend string)) {
+	for _, backend := range backends {
+		t.Run(backend, func(t *testing.T) { test(t, backend) })
+	}
+}
+
+func newCatalog(t testing.TB, backend string) *Catalog {
 	t.Helper()
-	mode := os.Getenv("MS_TEST_BACKEND")
-	if mode != "durable" && mode != "faulty" {
+	if backend == "memory" {
 		return New()
 	}
 	var b storage.Backend
@@ -34,7 +39,7 @@ func newCatalog(t testing.TB) *Catalog {
 		t.Fatal(err)
 	}
 	b = db
-	if mode == "faulty" {
+	if backend == "faulty" {
 		f, err := storage.NewFaulty(db, "compact@1/2=err; sync@1/3=delay:100us; append@1/7=delay:50us")
 		if err != nil {
 			t.Fatal(err)
@@ -58,8 +63,10 @@ func mustCreate(t *testing.T, c *Catalog, name string, vars []string, tuples [][
 	return r
 }
 
-func TestCatalogCRUD(t *testing.T) {
-	c := newCatalog(t)
+func TestCatalogCRUD(t *testing.T) { eachBackend(t, testCatalogCRUD) }
+
+func testCatalogCRUD(t *testing.T, backend string) {
+	c := newCatalog(t, backend)
 	mustCreate(t, c, "R", []string{"A", "B"}, [][]int{{1, 2}, {2, 3}})
 	mustCreate(t, c, "S", []string{"B", "C"}, [][]int{{2, 5}})
 
@@ -109,8 +116,10 @@ func TestCatalogCRUD(t *testing.T) {
 	}
 }
 
-func TestCatalogLoadDumpRoundTrip(t *testing.T) {
-	c := newCatalog(t)
+func TestCatalogLoadDumpRoundTrip(t *testing.T) { eachBackend(t, testCatalogLoadDumpRoundTrip) }
+
+func testCatalogLoadDumpRoundTrip(t *testing.T, backend string) {
+	c := newCatalog(t, backend)
 	src := "# edges\nE: A B\n1 2\n2 3\n3 1\n"
 	info, err := c.Load(strings.NewReader(src), "e.rel")
 	if err != nil {
@@ -123,7 +132,7 @@ func TestCatalogLoadDumpRoundTrip(t *testing.T) {
 	if err := c.Dump(&buf, "E"); err != nil {
 		t.Fatal(err)
 	}
-	c2 := newCatalog(t)
+	c2 := newCatalog(t, backend)
 	if _, err := c2.Load(strings.NewReader(buf.String()), "roundtrip"); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +165,11 @@ func TestCatalogLoadDumpRoundTrip(t *testing.T) {
 // reflect the new data with no caller-visible re-prepare, while
 // executions against unmutated relations do zero index rebuilds.
 func TestCatalogMutationVisibleToPreparedQueries(t *testing.T) {
-	c := newCatalog(t)
+	eachBackend(t, testCatalogMutationVisibleToPreparedQueries)
+}
+
+func testCatalogMutationVisibleToPreparedQueries(t *testing.T, backend string) {
+	c := newCatalog(t, backend)
 	mustCreate(t, c, "R", []string{"A", "B"}, [][]int{{1, 2}, {2, 3}})
 	mustCreate(t, c, "S", []string{"B", "C"}, [][]int{{2, 5}, {3, 7}})
 	mustCreate(t, c, "T", []string{"C", "D"}, [][]int{{5, 1}, {7, 2}})
@@ -248,7 +261,11 @@ func TestCatalogMutationVisibleToPreparedQueries(t *testing.T) {
 // race detector must stay quiet, every execution must succeed, and
 // every result must be consistent with some epoch of the data.
 func TestCatalogConcurrentMutationAndExecution(t *testing.T) {
-	c := newCatalog(t)
+	eachBackend(t, testCatalogConcurrentMutationAndExecution)
+}
+
+func testCatalogConcurrentMutationAndExecution(t *testing.T, backend string) {
+	c := newCatalog(t, backend)
 	base := [][]int{{1, 2}, {2, 3}, {3, 4}}
 	mustCreate(t, c, "R", []string{"A", "B"}, base)
 	mustCreate(t, c, "S", []string{"B", "C"}, [][]int{{2, 1}, {3, 1}, {4, 1}, {5, 1}})

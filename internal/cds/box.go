@@ -312,7 +312,13 @@ func (t *Tree) InsBox(b BoxConstraint) {
 			t.boxShapesAt[last] = append(t.boxShapesAt[last], sh)
 		}
 		bi = len(t.boxBuckets[last])
-		t.boxBuckets[last] = append(t.boxBuckets[last], boxBucket{})
+		if bi < cap(t.boxBuckets[last]) {
+			// A bucket emptied by Reset: re-slice so its boxes/maxHi
+			// slices keep their capacity.
+			t.boxBuckets[last] = t.boxBuckets[last][:bi+1]
+		} else {
+			t.boxBuckets[last] = append(t.boxBuckets[last], boxBucket{})
+		}
 		t.boxKeyIdx[last][key] = bi
 	}
 	bk := &t.boxBuckets[last][bi]

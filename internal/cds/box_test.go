@@ -337,3 +337,38 @@ func TestBoxProbeInsertLoopSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("reset+drain with boxes steady state: %v allocs/run, want 0", allocs)
 	}
 }
+
+// TestResetEmptiesBoxIndex: a reset tree must carry no box shape, key or
+// bucket of its previous life (a recycled tree would otherwise walk and
+// count them), and a refill must cost exactly what the first fill did.
+func TestResetEmptiesBoxIndex(t *testing.T) {
+	fill := func(tr *Tree, prefix Pattern) int64 {
+		var s certificate.Stats
+		tr.SetStats(&s)
+		tr.InsBox(BoxConstraint{Prefix: prefix, Dims: []ordered.Range{rg(0, 4), rg(0, 9)}})
+		for pt := tr.GetProbePoint(); pt != nil && s.ProbePoints < 8; pt = tr.GetProbePoint() {
+			tr.InsConstraint(Constraint{Prefix: Pattern{Eq(pt[0]), Eq(pt[1])}, Lo: ordered.NegInf, Hi: ordered.PosInf})
+		}
+		return s.CDSOps
+	}
+	tr := NewTree(3)
+	want := fill(tr, Pattern{Star})
+	tr.Reset()
+	for i := range tr.boxKeyIdx {
+		if n := len(tr.boxKeyIdx[i]); n != 0 {
+			t.Errorf("boxKeyIdx[%d] holds %d keys after Reset", i, n)
+		}
+		if n := len(tr.boxShapesAt[i]); n != 0 {
+			t.Errorf("boxShapesAt[%d] holds %d shapes after Reset", i, n)
+		}
+		if n := len(tr.boxBuckets[i]); n != 0 {
+			t.Errorf("boxBuckets[%d] holds %d buckets after Reset", i, n)
+		}
+	}
+	// A different shape in between must not make the original dearer.
+	fill(tr, Pattern{Eq(3)})
+	tr.Reset()
+	if got := fill(tr, Pattern{Star}); got != want {
+		t.Fatalf("refill after Reset cost %d CDS ops, first fill %d", got, want)
+	}
+}

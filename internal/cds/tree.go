@@ -88,9 +88,11 @@ type Tree struct {
 	// box applicability index (see activeBoxes): per last position, the
 	// buckets of boxes sharing a prefix shape and pinned values, the
 	// key→bucket map, the distinct shapes to query, and the linear
-	// overflow list for prefixes too long for a shape mask. Reset keeps
-	// the maps and empties the buckets in place, so a re-filled tree
-	// re-uses their storage.
+	// overflow list for prefixes too long for a shape mask. Reset empties
+	// all of it — a recycled tree must not walk the shapes or keep the
+	// keys of an earlier run, or CDSOps would depend on what the tree
+	// served before — but keeps every backing array (maps, bucket lists
+	// and each bucket's box slices), so a re-filled tree re-uses them.
 	boxBuckets  [][]boxBucket
 	boxKeyIdx   []map[boxKey]int
 	boxShapesAt [][]boxShape
@@ -145,6 +147,9 @@ func (t *Tree) Reset() {
 			bk.boxes = bk.boxes[:0]
 			bk.maxHi = bk.maxHi[:0]
 		}
+		t.boxBuckets[i] = t.boxBuckets[i][:0]
+		t.boxShapesAt[i] = t.boxShapesAt[i][:0]
+		clear(t.boxKeyIdx[i])
 	}
 	for i := range t.rangeChunks {
 		t.rangeChunks[i] = t.rangeChunks[i][:0]

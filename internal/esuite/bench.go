@@ -1,4 +1,4 @@
-package benchsuite
+package esuite
 
 import (
 	"encoding/json"
@@ -7,11 +7,42 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"minesweeper/internal/certificate"
 )
 
+// Bench is the one benchmark loop of the repo's suite: set the case up
+// at Full scale, time b.N runs, and report every counter per operation
+// (findgaps/op is the paper's certificate-size measurement, probes/op
+// the outer-loop iterations, cdsops/op the constraint-store work).
+func Bench(b *testing.B, c *Case) {
+	inst, err := c.Setup(Full)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if inst.Close != nil {
+		defer inst.Close()
+	}
+	var stats certificate.Stats
+	outputs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z, err := inst.Run(&stats)
+		if err != nil {
+			b.Fatal(err)
+		}
+		outputs += z
+	}
+	b.StopTimer()
+	for _, ctr := range counters {
+		b.ReportMetric(float64(ctr.get(&stats, outputs))/float64(b.N), ctr.name+"/op")
+	}
+}
+
 // Result is one benchmark measurement in the machine-readable trajectory
-// format. Metrics carries the custom b.ReportMetric series (findgaps/op,
-// probes/op, cdsops/op) alongside the standard ns/allocs/bytes.
+// format. Metrics carries the per-operation counters alongside the
+// standard ns/allocs/bytes.
 type Result struct {
 	Name        string             `json:"name"`
 	Exp         string             `json:"exp"`
@@ -23,7 +54,7 @@ type Result struct {
 }
 
 // File is the schema of a BENCH_<n>.json artifact: environment header
-// plus one Result per suite entry. Files with equal Schema are
+// plus one Result per tracked case. Files with equal Schema are
 // comparable benchmark-by-benchmark via Name.
 type File struct {
 	Schema     int      `json:"schema"`
@@ -38,43 +69,33 @@ type File struct {
 // SchemaVersion is bumped when the Result encoding changes shape.
 const SchemaVersion = 1
 
-// Run executes every suite entry accepted by filter (nil = all) through
-// testing.Benchmark and reports progress on progress (may be nil).
-func Run(filter func(Bench) bool, progress io.Writer) []Result {
-	return RunBenches(Suite(), filter, progress)
-}
-
-// RunBenches is Run over an explicit bench list — for tracked suites
-// that cannot live in this package (e.g. the sharded E15 entries,
-// whose package imports the root package and so cannot be imported
-// from here; cmd/msbench registers them directly).
-func RunBenches(benches []Bench, filter func(Bench) bool, progress io.Writer) []Result {
+// RunTracked measures every tracked case accepted by filter (nil = all)
+// through testing.Benchmark, reporting progress on progress (may be nil).
+func RunTracked(filter func(*Case) bool, progress io.Writer) []Result {
 	var out []Result
-	for _, bench := range benches {
-		if filter != nil && !filter(bench) {
-			continue
-		}
-		if progress != nil {
-			fmt.Fprintf(progress, "running %s...", bench.Name)
-		}
-		r := testing.Benchmark(bench.F)
-		res := Result{
-			Name:        bench.Name,
-			Exp:         bench.Exp,
-			Runs:        r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: float64(r.MemAllocs) / float64(r.N),
-			BytesPerOp:  float64(r.MemBytes) / float64(r.N),
-		}
-		if len(r.Extra) > 0 {
-			res.Metrics = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				res.Metrics[k] = v
+	for _, e := range registry {
+		for i := range e.Cases {
+			c := &e.Cases[i]
+			if !c.Tracked || filter != nil && !filter(c) {
+				continue
 			}
-		}
-		out = append(out, res)
-		if progress != nil {
-			fmt.Fprintf(progress, " %.0f ns/op, %.0f allocs/op\n", res.NsPerOp, res.AllocsPerOp)
+			if progress != nil {
+				fmt.Fprintf(progress, "running %s...", c.Name)
+			}
+			r := testing.Benchmark(func(b *testing.B) { Bench(b, c) })
+			res := Result{
+				Name:        c.Name,
+				Exp:         e.ID,
+				Runs:        r.N,
+				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+				AllocsPerOp: float64(r.MemAllocs) / float64(r.N),
+				BytesPerOp:  float64(r.MemBytes) / float64(r.N),
+				Metrics:     r.Extra,
+			}
+			out = append(out, res)
+			if progress != nil {
+				fmt.Fprintf(progress, " %.0f ns/op, %.0f allocs/op\n", res.NsPerOp, res.AllocsPerOp)
+			}
 		}
 	}
 	return out
@@ -104,7 +125,7 @@ func ReadJSON(r io.Reader) (*File, error) {
 		return nil, err
 	}
 	if f.Schema != SchemaVersion {
-		return nil, fmt.Errorf("benchsuite: schema %d, want %d", f.Schema, SchemaVersion)
+		return nil, fmt.Errorf("esuite: schema %d, want %d", f.Schema, SchemaVersion)
 	}
 	return &f, nil
 }
@@ -136,9 +157,7 @@ func ratio(a, b float64) float64 {
 }
 
 // Compare matches benchmarks of two files by name, in the old file's
-// order (for BENCH_*.json artifacts that is the curated Suite() order:
-// E1–E9 first, micro-benchmarks last). Benchmarks present in only one
-// file are skipped.
+// order. Benchmarks present in only one file are skipped.
 func Compare(old, new *File) []Delta {
 	idx := make(map[string]Result, len(new.Benchmarks))
 	for _, r := range new.Benchmarks {

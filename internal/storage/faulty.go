@@ -12,9 +12,10 @@ import (
 )
 
 // Faulty wraps any Backend and deterministically injects failures at
-// every operation boundary, so tests (and the MS_TEST_BACKEND=faulty
-// chaos mode) can prove log-then-apply atomicity, poison semantics and
-// fail-soft compaction under faults nobody thought to hand-write.
+// every operation boundary, so tests (and the "faulty" rows of the
+// catalog and msserve test matrices) can prove log-then-apply
+// atomicity, poison semantics and fail-soft compaction under faults
+// nobody thought to hand-write.
 //
 // Faults come from a script — a semicolon-separated list of rules:
 //
