@@ -10,23 +10,15 @@ import (
 
 	"minesweeper/internal/catalog"
 	"minesweeper/internal/reltree"
+	"minesweeper/internal/shard"
 	"minesweeper/internal/storage"
 )
 
 // openDurableServer recovers a server from dir the way main does:
-// backend, catalog, then restoreQueries.
+// catalog, then restoreQueries.
 func openDurableServer(t *testing.T, dir string) *server {
 	t.Helper()
-	b, err := storage.OpenDurable(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := catalog.Open(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	s := newServer(singleStore{c})
+	s := newServer(openTestCatalog(t, dir, 1, 1, storage.Options{}, ""))
 	if _, failed := s.restoreQueries(); len(failed) > 0 {
 		t.Fatalf("restoreQueries: %v", failed)
 	}
@@ -60,7 +52,7 @@ func TestServerKillAndRestartRecovers(t *testing.T) {
 
 	// Unclean kill: no Close, no Sync — and a half-written record at the
 	// WAL tail.
-	wals, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+	wals, err := filepath.Glob(filepath.Join(shard.ReplicaDir(dir, 0, 0), "wal-*.log"))
 	if err != nil || len(wals) != 1 {
 		t.Fatalf("wal files: %v, %v", wals, err)
 	}
@@ -142,11 +134,7 @@ func TestServerDropQueryIsDurable(t *testing.T) {
 // reported.
 func TestServerRestoreSkipsUnplannableQuery(t *testing.T) {
 	dir := t.TempDir()
-	b, err := storage.OpenDurable(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := catalog.Open(b)
+	c, err := shard.OpenReplicated(dir, 1, 1, storage.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,16 +149,7 @@ func TestServerRestoreSkipsUnplannableQuery(t *testing.T) {
 	}
 	c.Close()
 
-	b2, err := storage.OpenDurable(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := catalog.Open(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	s := newServer(singleStore{c2})
+	s := newServer(openTestCatalog(t, dir, 1, 1, storage.Options{}, ""))
 	restored, failed := s.restoreQueries()
 	if restored != 0 || len(failed) != 1 {
 		t.Fatalf("restoreQueries = %d restored, %v", restored, failed)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"net/http"
 	"reflect"
 	"testing"
@@ -24,7 +23,7 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 	// scripted to poison on its first explicit Sync — a kill switch the
 	// test can flip per replica with zero data change.
 	var faulty [shards][replicas]*storage.Faulty
-	sc, err := shard.OpenWith(dir, shards, replicas, storage.Options{}, func(i, j int) (storage.Backend, error) {
+	sc, err := shard.OpenWith(dir, shards, replicas, func(i, j int) (storage.Backend, error) {
 		d, err := storage.OpenDurable(shard.ReplicaDir(dir, i, j), storage.Options{})
 		if err != nil {
 			return nil, err
@@ -59,21 +58,9 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 	cfg := defaultServerConfig()
 	cfg.reopenBase = 2 * time.Millisecond
 	cfg.reopenPoll = 10 * time.Millisecond
-	cfg.reopenTargets = func() []reopenTarget {
-		var out []reopenTarget
-		for _, ref := range sc.DownReplicas() {
-			ref := ref
-			out = append(out, reopenTarget{
-				key: fmt.Sprintf("shard-%d/replica-%d", ref.Shard, ref.Replica),
-				reopen: func() error {
-					return sc.ReopenReplica(ref.Shard, ref.Replica, func() (storage.Backend, error) {
-						return storage.OpenDurable(shard.ReplicaDir(dir, ref.Shard, ref.Replica), storage.Options{})
-					})
-				},
-			})
-		}
-		return out
-	}
+	cfg.reopenTargets = downReplicaTargets(sc, func(i, j int) (storage.Backend, error) {
+		return storage.OpenDurable(shard.ReplicaDir(dir, i, j), storage.Options{})
+	})
 	emitted := 0
 	cfg.emitHook = func([]int) {
 		emitted++
@@ -85,7 +72,7 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 			}
 		}
 	}
-	s := newServerWith(shardStore{sc}, cfg)
+	s := newServerWith(sc, cfg)
 	t.Cleanup(s.Close)
 
 	wantStatus(t, do(t, s, "POST", "/queries", `{"name":"rs","query":"E(A,B), F(B,C)"}`), http.StatusOK)

@@ -34,21 +34,22 @@
 // Relation files given on the command line are preloaded into the
 // catalog at startup.
 //
-// With -data-dir the catalog is durable: every mutation is appended to
-// a CRC-checked write-ahead log before it applies, the log compacts
-// into full snapshots as it grows, and a restart — clean or not —
-// recovers every relation (tuples, variable bindings, mutation epochs)
-// and re-registers every named prepared query, replaying the WAL over
-// the newest snapshot and truncating a torn tail. Without -data-dir
-// everything stays in memory, the historical behavior.
+// The data plane is always one owner of -shards N x -replicas R
+// (defaults 1 x 1): every relation is partitioned across N fragment
+// owners with scatter-gather execution, and every fragment kept in R
+// synchronous copies. With -data-dir it is durable: each copy has its
+// own directory (shard-<i>/replica-<j>/, routing in shards.json), every
+// mutation is appended to a CRC-checked write-ahead log before it
+// applies, the log compacts into full snapshots as it grows, and a
+// restart — clean or not — recovers every relation (tuples, variable
+// bindings, mutation epochs) and re-registers every named prepared
+// query, replaying the WAL over the newest snapshot and truncating a
+// torn tail. Without -data-dir everything stays in memory.
 //
-// -shards N partitions every relation across N fragment owners with
-// scatter-gather execution; -replicas R additionally keeps R
-// synchronous copies of every fragment, each with its own WAL
-// directory. A replica whose storage poisons is failed over: mutations
-// promote a healthy follower, running substreams resume on a sibling
-// from the last delivered key (the stream stays byte-identical), and
-// the background reopen loop recovers each dead copy on an independent
+// A replica whose storage poisons is failed over: mutations promote a
+// healthy follower, running substreams resume on a sibling from the
+// last delivered key (the stream stays byte-identical), and the
+// background reopen loop recovers each dead copy on an independent
 // backoff schedule while /readyz stays ready.
 //
 // The serving plane defends itself: -max-runs/-max-mutations bound the
@@ -56,10 +57,10 @@
 // -queue-depth; beyond it requests are shed with 429 + Retry-After),
 // -run-timeout clamps every execution to a server-side deadline (504
 // when it expires before the first tuple), and an engine panic becomes
-// a 500 — never a dead process. When a durable backend poisons on a
-// write failure the server degrades to read-only: queries keep serving,
-// mutations return 503, /readyz reports not-ready, and a background
-// loop retries reopening the backend with capped exponential backoff.
+// a 500 — never a dead process. When a shard's last healthy replica
+// poisons on a write failure the server degrades to read-only: queries
+// keep serving, mutations return 503, /readyz reports not-ready, and
+// the same reopen loop brings the store back.
 //
 // On SIGINT/SIGTERM the server drains: no new requests are accepted,
 // in-flight NDJSON streams get up to -drain-timeout to finish, and
@@ -79,7 +80,6 @@ import (
 	"syscall"
 	"time"
 
-	"minesweeper/internal/catalog"
 	"minesweeper/internal/shard"
 	"minesweeper/internal/storage"
 )
@@ -98,82 +98,28 @@ func main() {
 	flag.DurationVar(&cfg.runTimeout, "run-timeout", cfg.runTimeout, "server-side deadline per query run; client timeouts are clamped to it (0 disables)")
 	flag.Parse()
 
+	// One data plane for every configuration: N shards x R replicas
+	// (defaults 1 x 1), over memory or — each replica with its own WAL
+	// directory — under -data-dir.
 	sopts := storage.Options{FsyncEach: *fsync}
-	if *replicas < 1 {
-		*replicas = 1
-	}
-	var cat store
-	if *shards > 1 || *replicas > 1 {
-		// Sharded store: N fragment owners × R replicas, each replica
-		// with its own WAL directory under -data-dir, scatter-gather
-		// execution with per-substream failover.
-		var sc *shard.Catalog
-		if *dataDir != "" {
-			var err error
-			sc, err = shard.OpenReplicated(*dataDir, *shards, *replicas, sopts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "msserve: opening -data-dir: %v\n", err)
-				os.Exit(1)
-			}
-			dir := *dataDir
-			cfg.reopenTargets = func() []reopenTarget {
-				var out []reopenTarget
-				for _, ref := range sc.DownReplicas() {
-					ref := ref
-					out = append(out, reopenTarget{
-						key: fmt.Sprintf("shard-%d/replica-%d", ref.Shard, ref.Replica),
-						reopen: func() error {
-							return sc.ReopenReplica(ref.Shard, ref.Replica, func() (storage.Backend, error) {
-								return storage.OpenDurable(shard.ReplicaDir(dir, ref.Shard, ref.Replica), sopts)
-							})
-						},
-					})
-				}
-				return out
-			}
-		} else {
-			sc = shard.NewReplicated(*shards, *replicas)
-		}
-		log.Printf("sharded catalog: %d shards x %d replicas", *shards, *replicas)
-		cat = shardStore{sc}
-	} else {
-		var backend storage.Backend = storage.NewMem()
-		if *dataDir != "" {
-			durable, err := storage.OpenDurable(*dataDir, sopts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "msserve: opening -data-dir: %v\n", err)
-				os.Exit(1)
-			}
-			backend = durable
-		}
-		c, err := catalog.Open(backend)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "msserve: recovering catalog: %v\n", err)
+	cat, where := shard.NewReplicated(*shards, *replicas), "memory"
+	if dir := *dataDir; dir != "" {
+		var err error
+		if cat, err = shard.OpenReplicated(dir, *shards, *replicas, sopts); err != nil {
+			fmt.Fprintf(os.Stderr, "msserve: opening -data-dir: %v\n", err)
 			os.Exit(1)
 		}
-		if *dataDir != "" {
-			// Degraded-mode recovery: when the WAL poisons on a write
-			// failure the catalog turns read-only, and the server retries
-			// a fresh open of the same directory with capped exponential
-			// backoff until the failure clears (disk freed, volume
-			// remounted, …).
-			dir := *dataDir
-			cfg.reopenTargets = func() []reopenTarget {
-				if c.Degraded() == nil {
-					return nil
-				}
-				return []reopenTarget{{
-					key: "store",
-					reopen: func() error {
-						return c.Reopen(func() (storage.Backend, error) {
-							return storage.OpenDurable(dir, sopts)
-						})
-					},
-				}}
-			}
-		}
-		cat = singleStore{c}
+		where = dir
+		// Degraded-mode recovery: a replica whose WAL poisons on a write
+		// failure is failed over, or — the shard's last one — turns the
+		// store read-only; the server retries a fresh open of its
+		// directory with capped exponential backoff until the failure
+		// clears (disk freed, volume remounted, …).
+		cfg.reopenTargets = downReplicaTargets(cat, func(i, j int) (storage.Backend, error) {
+			return storage.OpenDurable(shard.ReplicaDir(dir, i, j), sopts)
+		})
 	}
+	log.Printf("data plane: %d shards x %d replicas, %s", cat.Shards(), cat.ReplicaCount(), where)
 	if st := cat.StorageStats(); st.Mode == "durable" {
 		log.Printf("recovered %d relations and %d query definitions from %s (snapshot seq %d, %d WAL records replayed)",
 			st.RecoveredRelations, st.RecoveredQueries, st.Dir, st.Seq, st.ReplayedRecords)

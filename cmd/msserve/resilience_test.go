@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"minesweeper/internal/catalog"
+	"minesweeper/internal/shard"
 	"minesweeper/internal/storage"
 )
 
@@ -22,20 +22,7 @@ import (
 // config. The caller drives it to the fault and inspects the wreckage.
 func faultyServer(t *testing.T, dir, script string, cfg serverConfig) *server {
 	t.Helper()
-	d, err := storage.OpenDurable(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := storage.NewFaulty(d, script)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := catalog.Open(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cat.Close() })
-	s := newServerWith(singleStore{cat}, cfg)
+	s := newServerWith(openTestCatalog(t, dir, 1, 1, storage.Options{}, script), cfg)
 	t.Cleanup(s.Close)
 	return s
 }
@@ -93,16 +80,7 @@ func TestDegradedReadOnlyAndRestart(t *testing.T) {
 
 	// "Restart": recover the directory with a clean backend. The torn
 	// record truncates away; everything before it survives.
-	d, err := storage.OpenDurable(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := catalog.Open(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
-	s2 := newServerWith(singleStore{cat}, defaultServerConfig())
+	s2 := newServerWith(openTestCatalog(t, dir, 1, 1, storage.Options{}, ""), defaultServerConfig())
 	defer s2.Close()
 	if restored, failed := s2.restoreQueries(); restored != 1 || len(failed) != 0 {
 		t.Fatalf("restored %d queries (failures %v), want 1", restored, failed)
@@ -123,33 +101,14 @@ func TestDegradedReadOnlyAndRestart(t *testing.T) {
 // resume without a restart.
 func TestReopenLoopLeavesDegradedMode(t *testing.T) {
 	dir := t.TempDir()
-	d, err := storage.OpenDurable(dir, storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := storage.NewFaulty(d, "append@2=enospc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := catalog.Open(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cat.Close() })
+	cat := openTestCatalog(t, dir, 1, 1, storage.Options{}, "append@2=enospc")
 	cfg := defaultServerConfig()
-	cfg.reopenTargets = func() []reopenTarget {
-		if cat.Degraded() == nil {
-			return nil
-		}
-		return []reopenTarget{{key: "store", reopen: func() error {
-			return cat.Reopen(func() (storage.Backend, error) {
-				return storage.OpenDurable(dir, storage.Options{})
-			})
-		}}}
-	}
+	cfg.reopenTargets = downReplicaTargets(cat, func(i, j int) (storage.Backend, error) {
+		return storage.OpenDurable(shard.ReplicaDir(dir, i, j), storage.Options{})
+	})
 	cfg.reopenBase = 2 * time.Millisecond
 	cfg.reopenPoll = 20 * time.Millisecond
-	s := newServerWith(singleStore{cat}, cfg)
+	s := newServerWith(cat, cfg)
 	t.Cleanup(s.Close)
 
 	wantStatus(t, do(t, s, "POST", "/relations", "R: A B\n1 2\n"), http.StatusOK)

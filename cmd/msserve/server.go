@@ -40,12 +40,11 @@ type serverConfig struct {
 	// Zero disables the default deadline.
 	runTimeout time.Duration
 	// reopenTargets, when set, enumerates the store's currently
-	// degraded units — one per down replica for a sharded store, a
-	// single entry for a plain catalog — each with its own reopen
-	// closure. The background loop retries every listed target on an
-	// independent capped-exponential schedule (reopenBase doubling up
-	// to reopenMax), so one stubbornly failing replica never delays
-	// the recovery of the others.
+	// degraded units — one per down replica (downReplicaTargets) — each
+	// with its own reopen closure. The background loop retries every
+	// listed target on an independent capped-exponential schedule
+	// (reopenBase doubling up to reopenMax), so one stubbornly failing
+	// replica never delays the recovery of the others.
 	reopenTargets func() []reopenTarget
 	reopenBase    time.Duration
 	reopenMax     time.Duration
@@ -73,20 +72,40 @@ func defaultServerConfig() serverConfig {
 	}
 }
 
-// reopenTarget is one independently recoverable storage unit: a down
-// replica of a sharded store, or the whole backend of a plain one. The
-// key identifies the unit across enumerations so its backoff schedule
-// survives re-scans.
+// reopenTarget is one independently recoverable storage unit, a down
+// replica. The key identifies the unit across enumerations so its
+// backoff schedule survives re-scans.
 type reopenTarget struct {
 	key    string
 	reopen func() error
 }
 
-// server is the msserve HTTP handler: a relation store (plain or
-// sharded catalog) plus a registry of named prepared queries and
+// downReplicaTargets is the reopen policy of every durable
+// configuration: each replica the catalog reports down — a poisoned
+// 1 x 1 store shows up as shard-0/replica-0 — is reopened on a fresh
+// backend from open and resynced from the shard's serving memory.
+func downReplicaTargets(sc *shard.Catalog, open func(shard, replica int) (storage.Backend, error)) func() []reopenTarget {
+	return func() []reopenTarget {
+		var out []reopenTarget
+		for _, ref := range sc.DownReplicas() {
+			out = append(out, reopenTarget{
+				key: fmt.Sprintf("shard-%d/replica-%d", ref.Shard, ref.Replica),
+				reopen: func() error {
+					return sc.ReopenReplica(ref.Shard, ref.Replica, func() (storage.Backend, error) {
+						return open(ref.Shard, ref.Replica)
+					})
+				},
+			})
+		}
+		return out
+	}
+}
+
+// server is the msserve HTTP handler: the data plane (one catalog of
+// N shards x R replicas) plus a registry of named prepared queries and
 // aggregate run counters.
 type server struct {
-	cat store
+	cat *shard.Catalog
 	mux *http.ServeMux
 	cfg serverConfig
 
@@ -113,7 +132,7 @@ type server struct {
 
 	draining atomic.Bool
 
-	// Degraded-mode reopen machinery (active when cfg.reopen != nil).
+	// Degraded-mode reopen machinery (active when cfg.reopenTargets != nil).
 	degradedCh     chan struct{}
 	done           chan struct{}
 	closeOnce      sync.Once
@@ -147,17 +166,17 @@ type registeredQuery struct {
 	expr    string
 	opts    minesweeper.Options
 	q       *minesweeper.Query
-	st      store    // prepares variants (scatter plans on a sharded store)
-	outVars []string // output column names of the default variant
+	st      *shard.Catalog // prepares variants
+	outVars []string       // output column names of the default variant
 
 	mu       sync.Mutex // guards prepared only
-	prepared map[string]prepared
+	prepared map[string]*shard.Prepared
 	runs     atomic.Int64
 }
 
 // defaultVariant returns the prepared query registration built eagerly
 // (default engine and workers resolution).
-func (rq *registeredQuery) defaultVariant() (prepared, error) {
+func (rq *registeredQuery) defaultVariant() (*shard.Prepared, error) {
 	eng := rq.opts.Engine
 	if eng == minesweeper.EngineAuto {
 		eng = minesweeper.EngineMinesweeper
@@ -184,7 +203,7 @@ func (rq *registeredQuery) liveExplain() (minesweeper.Explain, error) {
 // combination, preparing and caching it on first use. Workers are
 // clamped to GOMAXPROCS on every path — beyond that parallelism buys
 // nothing, and the clamp bounds this client-keyed cache.
-func (rq *registeredQuery) variant(eng minesweeper.Engine, workers int) (prepared, error) {
+func (rq *registeredQuery) variant(eng minesweeper.Engine, workers int) (*shard.Prepared, error) {
 	if max := runtime.GOMAXPROCS(0); workers > max {
 		workers = max
 	}
@@ -202,17 +221,17 @@ func (rq *registeredQuery) variant(eng minesweeper.Engine, workers int) (prepare
 		return nil, err
 	}
 	if rq.prepared == nil {
-		rq.prepared = map[string]prepared{}
+		rq.prepared = map[string]*shard.Prepared{}
 	}
 	rq.prepared[key] = pq
 	return pq, nil
 }
 
-func newServer(cat store) *server {
+func newServer(cat *shard.Catalog) *server {
 	return newServerWith(cat, defaultServerConfig())
 }
 
-func newServerWith(cat store, cfg serverConfig) *server {
+func newServerWith(cat *shard.Catalog, cfg serverConfig) *server {
 	s := &server{
 		cat: cat, cfg: cfg,
 		queries: map[string]*registeredQuery{},
@@ -380,9 +399,11 @@ func (s *server) reopenLoop() {
 	}
 }
 
-// mutationStatus maps a catalog mutation error to its HTTP status,
-// flagging degradation for the reopen loop on the way.
-func (s *server) mutationStatus(err error) int {
+// mutationStatus maps a catalog mutation error to its HTTP status —
+// 503 for a read-only store (flagging the degradation for the reopen
+// loop on the way), 404 for an unknown relation, otherwise the
+// endpoint's own fallback.
+func (s *server) mutationStatus(err error, otherwise int) int {
 	if errors.Is(err, catalog.ErrReadOnly) {
 		s.noteDegraded()
 		return http.StatusServiceUnavailable
@@ -390,7 +411,7 @@ func (s *server) mutationStatus(err error) int {
 	if strings.Contains(err.Error(), "unknown relation") {
 		return http.StatusNotFound
 	}
-	return http.StatusBadRequest
+	return otherwise
 }
 
 // --- streams ---------------------------------------------------------
@@ -442,31 +463,15 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.cat.Degraded(); err != nil {
 		w.Header().Set("Retry-After", "1")
-		body := map[string]any{
+		// Per-shard detail: which fragment owners are poisoned and which
+		// are still healthy (reads keep serving from all).
+		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "reason": "storage degraded: read-only", "error": err.Error(),
-		}
-		if sh := s.shardStats(); sh != nil {
-			// Per-shard detail: which fragment owners are poisoned and
-			// which are still healthy (reads keep serving from all).
-			body["shards"] = shardHealth(sh)
-		}
-		writeJSON(w, http.StatusServiceUnavailable, body)
+			"shards": shardHealth(s.cat.ShardStats()),
+		})
 		return
 	}
-	body := map[string]any{"ready": true}
-	if sh := s.shardStats(); sh != nil {
-		body["shards"] = shardHealth(sh)
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// shardStats returns the per-shard telemetry when the store is sharded,
-// nil otherwise.
-func (s *server) shardStats() []shard.ShardStat {
-	if ss, ok := s.cat.(interface{ ShardStats() []shard.ShardStat }); ok {
-		return ss.ShardStats()
-	}
-	return nil
+	writeJSON(w, http.StatusOK, map[string]any{"ready": true, "shards": shardHealth(s.cat.ShardStats())})
 }
 
 // shardHealth summarizes shard readiness for /readyz: a shard is ready
@@ -475,20 +480,17 @@ func (s *server) shardStats() []shard.ShardStat {
 func shardHealth(stats []shard.ShardStat) []map[string]any {
 	out := make([]map[string]any, len(stats))
 	for i, st := range stats {
-		h := map[string]any{"shard": st.Shard, "ready": st.Degraded == "", "primary": st.Primary}
+		reps := make([]map[string]any, len(st.Replicas))
+		for j, r := range st.Replicas {
+			rh := map[string]any{"replica": r.Replica, "ready": r.Down == "", "primary": r.Primary}
+			if r.Down != "" {
+				rh["error"] = r.Down
+			}
+			reps[j] = rh
+		}
+		h := map[string]any{"shard": st.Shard, "ready": st.Degraded == "", "primary": st.Primary, "replicas": reps}
 		if st.Degraded != "" {
 			h["error"] = st.Degraded
-		}
-		if len(st.Replicas) > 0 {
-			reps := make([]map[string]any, len(st.Replicas))
-			for j, r := range st.Replicas {
-				rh := map[string]any{"replica": r.Replica, "ready": r.Down == "", "primary": r.Primary}
-				if r.Down != "" {
-					rh["error"] = r.Down
-				}
-				reps[j] = rh
-			}
-			h["replicas"] = reps
 		}
 		out[i] = h
 	}
@@ -538,12 +540,7 @@ func (s *server) handleListRelations(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleLoadRelation(w http.ResponseWriter, r *http.Request) {
 	info, err := s.cat.Load(r.Body, "request body")
 	if err != nil {
-		if errors.Is(err, catalog.ErrReadOnly) {
-			s.noteDegraded()
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, s.mutationStatus(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, info)
@@ -559,12 +556,7 @@ func (s *server) handleDumpRelation(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleDropRelation(w http.ResponseWriter, r *http.Request) {
 	if err := s.cat.Drop(r.PathValue("name")); err != nil {
-		status := http.StatusNotFound
-		if errors.Is(err, catalog.ErrReadOnly) {
-			s.noteDegraded()
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, "%v", err)
+		httpError(w, s.mutationStatus(err, http.StatusNotFound), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"dropped": true})
@@ -587,7 +579,7 @@ func (s *server) handleMutateRelation(w http.ResponseWriter, r *http.Request) {
 	if deleting {
 		n, info, err := s.cat.Delete(name, body.Tuples...)
 		if err != nil {
-			httpError(w, s.mutationStatus(err), "%v", err)
+			httpError(w, s.mutationStatus(err, http.StatusBadRequest), "%v", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"deleted": n, "epoch": info.Epoch, "tuples": info.Tuples})
@@ -595,7 +587,7 @@ func (s *server) handleMutateRelation(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.cat.Insert(name, body.Tuples...)
 	if err != nil {
-		httpError(w, s.mutationStatus(err), "%v", err)
+		httpError(w, s.mutationStatus(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"inserted": len(body.Tuples), "epoch": info.Epoch, "tuples": info.Tuples})
@@ -723,11 +715,7 @@ func (s *server) buildQuery(spec *querySpec) (*registeredQuery, error) {
 	}
 	// Prepare the default variant eagerly so registration surfaces GAO,
 	// clause and engine errors immediately.
-	resolved := eng
-	if resolved == minesweeper.EngineAuto {
-		resolved = minesweeper.EngineMinesweeper
-	}
-	pq, err := rq.variant(resolved, spec.Workers)
+	pq, err := rq.defaultVariant()
 	if err != nil {
 		return nil, err
 	}
@@ -767,12 +755,7 @@ func (s *server) handleRegisterQuery(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		delete(s.queries, spec.Name)
 		s.mu.Unlock()
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrReadOnly) {
-			s.noteDegraded()
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, "persisting query %q: %v", spec.Name, err)
+		httpError(w, s.mutationStatus(err, http.StatusInternalServerError), "persisting query %q: %v", spec.Name, err)
 		return
 	}
 	explain, err := rq.liveExplain()
@@ -830,12 +813,7 @@ func (s *server) handleDropQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.cat.DropQueryDef(name); err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, catalog.ErrReadOnly) {
-			s.noteDegraded()
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, "unpersisting query %q: %v", name, err)
+		httpError(w, s.mutationStatus(err, http.StatusInternalServerError), "unpersisting query %q: %v", name, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"dropped": true})
@@ -953,16 +931,6 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registere
 	}
 	defer release()
 
-	// A query holds its relations by pointer, so it survives a catalog
-	// Drop — but serving from a dropped (or dropped-and-recreated)
-	// relation would silently return stale data forever. Refuse instead:
-	// the caller must re-register against the current catalog.
-	for _, rel := range rq.q.Relations() {
-		if cur, ok := s.cat.Get(rel.Name()); !ok || cur != rel {
-			httpError(w, http.StatusGone, "relation %q was dropped or replaced since the query was built; re-register it", rel.Name())
-			return
-		}
-	}
 	eng := rq.opts.Engine
 	if params.engine != "" {
 		e, err := minesweeper.ParseEngine(params.engine)
@@ -991,6 +959,18 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registere
 	if err := pq.Refresh(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	// A plan holds its relations by pointer, so it survives a catalog
+	// Drop — but serving from a dropped (or dropped-and-recreated)
+	// relation would silently return stale data forever. Refuse instead:
+	// the caller must re-register against the current catalog. The check
+	// follows the Refresh because a leadership move also changes which
+	// object a relation is, and the refreshed plan has followed it.
+	for _, rel := range pq.Relations() {
+		if cur, ok := s.cat.Get(rel.Name()); !ok || cur != rel {
+			httpError(w, http.StatusGone, "relation %q was dropped or replaced since the query was built; re-register it", rel.Name())
+			return
+		}
 	}
 
 	// Server-side deadline: the client's timeout applies when it is
@@ -1228,19 +1208,16 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Per-shard scatter counters: runs, inflight and queued substreams
 	// (queued > 0 marks a hot shard whose substream outpaces the merge),
 	// data volume and per-shard storage health.
-	if sh := s.shardStats(); sh != nil {
-		body["shards"] = sh
-		var retries, panics int64
-		for _, st := range sh {
-			retries += st.Retries
-			panics += st.Panics
-		}
-		health["substream_retries"] = retries
-		health["substream_panics"] = panics
-		if fo, ok := s.cat.(interface{ Failovers() int64 }); ok {
-			health["failovers"] = fo.Failovers()
-		}
+	sh := s.cat.ShardStats()
+	body["shards"] = sh
+	var retries, panics int64
+	for _, st := range sh {
+		retries += st.Retries
+		panics += st.Panics
 	}
+	health["substream_retries"] = retries
+	health["substream_panics"] = panics
+	health["failovers"] = s.cat.Failovers()
 	if s.runs > 0 {
 		body["alloc_objects_per_run"] = float64(allocObjs) / float64(s.runs)
 		body["alloc_bytes_per_run"] = float64(allocBytes) / float64(s.runs)

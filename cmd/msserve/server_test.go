@@ -20,9 +20,9 @@ import (
 // ("memory"; "durable", every mutation through a WAL; "faulty", the WAL
 // behind the fault-injection wrapper with a benign chaos script —
 // fail-soft compaction errors plus op delays the serving layer must
-// absorb) at a shard × replica count. 1×1 is the unsharded catalog;
-// anything larger is the sharded store, per-shard durable when the
-// backend is.
+// absorb) at a shard × replica count. Every row is the same owner type,
+// a shard.Catalog; 1×1 is its smallest size, and each replica of each
+// shard has its own WAL when the backend is durable.
 type storeConfig struct {
 	backend          string
 	shards, replicas int
@@ -48,49 +48,35 @@ func eachStore(t *testing.T, test func(t *testing.T, stc storeConfig)) {
 // benignChaos is the "faulty" backend's script.
 const benignChaos = "compact@1/2=err; sync@1/3=delay:100us; append@1/7=delay:50us"
 
-func newTestCatalog(t testing.TB, stc storeConfig) store {
+func newTestCatalog(t testing.TB, stc storeConfig) *shard.Catalog {
 	t.Helper()
-	sopts := storage.Options{CompactMinBytes: 256}
-	if stc.shards > 1 || stc.replicas > 1 {
-		if stc.backend == "memory" {
-			return shardStore{shard.NewReplicated(stc.shards, stc.replicas)}
-		}
-		dir := t.TempDir()
-		c, err := shard.OpenWith(dir, stc.shards, stc.replicas, sopts, func(shardIdx, rep int) (storage.Backend, error) {
-			d, err := storage.OpenDurable(shard.ReplicaDir(dir, shardIdx, rep), sopts)
-			if err != nil || stc.backend == "durable" {
-				return d, err
-			}
-			return storage.NewFaulty(d, benignChaos)
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return shardStore{c}
-	}
 	if stc.backend == "memory" {
-		return singleStore{catalog.New()}
+		return shard.NewReplicated(stc.shards, stc.replicas)
 	}
-	var b storage.Backend
-	db, err := storage.OpenDurable(t.TempDir(), sopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b = db
+	script := ""
 	if stc.backend == "faulty" {
-		f, err := storage.NewFaulty(db, benignChaos)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b = f
+		script = benignChaos
 	}
-	c, err := catalog.Open(b)
+	return openTestCatalog(t, t.TempDir(), stc.shards, stc.replicas, storage.Options{CompactMinBytes: 256}, script)
+}
+
+// openTestCatalog opens (or recovers) the durable catalog in dir the way
+// main does; a non-empty script puts every replica's backend behind the
+// fault-injection wrapper running it.
+func openTestCatalog(t testing.TB, dir string, shards, replicas int, sopts storage.Options, script string) *shard.Catalog {
+	t.Helper()
+	c, err := shard.OpenWith(dir, shards, replicas, func(i, j int) (storage.Backend, error) {
+		d, err := storage.OpenDurable(shard.ReplicaDir(dir, i, j), sopts)
+		if err != nil || script == "" {
+			return d, err
+		}
+		return storage.NewFaulty(d, script)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return singleStore{c}
+	return c
 }
 
 // do issues one request against the handler and returns the response.
@@ -369,9 +355,9 @@ func testStatsEndpoint(t *testing.T, stc storeConfig) {
 		t.Fatalf("certificate_estimate = %v", stats["certificate_estimate"])
 	}
 
-	// A write followed by a run constructs indexes again; on the
-	// unsharded store the cached ones are merged forward, which an
-	// operator reads off index_merges_total.
+	// A write followed by a run constructs indexes again; with one shard
+	// the cached ones are merged forward, which an operator reads off
+	// index_merges_total.
 	builds, _ := stats["index_builds_total"].(float64)
 	merges, _ := stats["index_merges_total"].(float64)
 	wantStatus(t, do(t, s, "POST", "/relations/R/insert", `{"tuples":[[9,2]]}`), http.StatusOK)
@@ -384,7 +370,7 @@ func testStatsEndpoint(t *testing.T, stc storeConfig) {
 	if builds < 1 || builds2 <= builds || merges2 < merges || builds2 < merges2 {
 		t.Fatalf("index counters: builds %v -> %v, merges %v -> %v", builds, builds2, merges, merges2)
 	}
-	if _, single := s.cat.(singleStore); single && merges2 <= merges {
+	if stc.shards == 1 && merges2 <= merges {
 		t.Fatalf("index_merges_total stayed at %v across an insert and a run", merges)
 	}
 }

@@ -30,8 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
-	"slices"
 	"sort"
 	"sync"
 
@@ -44,8 +42,9 @@ import (
 // ErrReadOnly marks a catalog in degraded read-only mode: the storage
 // backend was poisoned by a write failure, so mutations are refused
 // (nothing may be applied in memory that is not durably logged first)
-// while reads and query execution keep working. The catalog leaves
-// the mode through Reopen or a process restart.
+// while reads and query execution keep working. The mode is left by
+// opening a fresh catalog over the store (shard.Catalog.ReopenReplica
+// does that in place) or a process restart.
 var ErrReadOnly = errors.New("catalog: read-only: storage backend is poisoned")
 
 // entry pairs a relation with its default variable binding.
@@ -74,7 +73,7 @@ type Catalog struct {
 	queries map[string]storage.QueryDef
 	// degraded is non-nil while the catalog is in read-only mode: the
 	// backend poisoned itself on a write failure, so every mutation is
-	// refused with ErrReadOnly until Reopen succeeds.
+	// refused with ErrReadOnly from then on.
 	degraded error
 }
 
@@ -122,13 +121,33 @@ func Open(b storage.Backend) (*Catalog, error) {
 	return c, nil
 }
 
-// checkTuples validates arity and the value domain before a mutation is
+// CheckTuples validates arity and the value domain before a mutation is
 // logged: a record must never enter the WAL unless replaying it will
 // succeed, so the check the Relation mutators apply (rows.Check) runs
-// here first.
-func checkTuples(name string, arity int, tuples [][]int) error {
+// here first. Exported for internal/shard, which routes tuples by a
+// column before any replica sees them.
+func CheckTuples(name string, arity int, tuples [][]int) error {
 	if err := rows.Check(arity, tuples); err != nil {
 		return fmt.Errorf("catalog: relation %q: %w", name, err)
+	}
+	return nil
+}
+
+// CheckNew validates the name and default binding of a relation about
+// to be created: both non-empty, no variable repeated.
+func CheckNew(name string, vars []string) error {
+	if name == "" {
+		return fmt.Errorf("catalog: empty relation name")
+	}
+	if len(vars) == 0 {
+		return fmt.Errorf("catalog: relation %q: empty variable list", name)
+	}
+	seen := map[string]bool{}
+	for _, v := range vars {
+		if seen[v] {
+			return fmt.Errorf("catalog: relation %q: repeated variable %q", name, v)
+		}
+		seen[v] = true
 	}
 	return nil
 }
@@ -204,18 +223,8 @@ func (c *Catalog) Create(name string, vars []string, tuples [][]int) (*minesweep
 // createLocked is Create with c.mu held (and without the compaction
 // check, so Load composes it with a replace under one lock).
 func (c *Catalog) createLocked(name string, vars []string, tuples [][]int) (*minesweeper.Relation, error) {
-	if name == "" {
-		return nil, fmt.Errorf("catalog: empty relation name")
-	}
-	if len(vars) == 0 {
-		return nil, fmt.Errorf("catalog: relation %q: empty variable list", name)
-	}
-	seen := map[string]bool{}
-	for _, v := range vars {
-		if seen[v] {
-			return nil, fmt.Errorf("catalog: relation %q: repeated variable %q", name, v)
-		}
-		seen[v] = true
+	if err := CheckNew(name, vars); err != nil {
+		return nil, err
 	}
 	if _, dup := c.rels[name]; dup {
 		return nil, fmt.Errorf("catalog: relation %q already exists", name)
@@ -269,7 +278,7 @@ func (c *Catalog) Insert(name string, tuples ...[]int) (Info, error) {
 	if !ok {
 		return Info{}, fmt.Errorf("catalog: unknown relation %q", name)
 	}
-	if err := checkTuples(name, e.rel.Arity(), tuples); err != nil {
+	if err := CheckTuples(name, e.rel.Arity(), tuples); err != nil {
 		return Info{}, err
 	}
 	if len(tuples) > 0 {
@@ -296,7 +305,7 @@ func (c *Catalog) Delete(name string, tuples ...[]int) (int, Info, error) {
 	if !ok {
 		return 0, Info{}, fmt.Errorf("catalog: unknown relation %q", name)
 	}
-	if err := checkTuples(name, e.rel.Arity(), tuples); err != nil {
+	if err := CheckTuples(name, e.rel.Arity(), tuples); err != nil {
 		return 0, Info{}, err
 	}
 	if len(tuples) > 0 {
@@ -326,7 +335,7 @@ func (c *Catalog) Replace(name string, tuples [][]int) (Info, error) {
 	if !ok {
 		return Info{}, fmt.Errorf("catalog: unknown relation %q", name)
 	}
-	if err := checkTuples(name, e.rel.Arity(), tuples); err != nil {
+	if err := CheckTuples(name, e.rel.Arity(), tuples); err != nil {
 		return Info{}, err
 	}
 	if err := c.appendLocked(&storage.Record{
@@ -405,49 +414,53 @@ func (e *entry) describe(name string) Info {
 	}
 }
 
-// Load reads one relation in the relio interchange format. A new name
-// is created; an existing name of the same arity has its contents
-// replaced in place (bumping the epoch, so bound prepared queries see
-// the new data) and its default variable binding updated. Loading over
-// an existing relation with a different arity is an error — drop it
-// first.
+// Load reads one relation in the relio interchange format and
+// creates-or-replaces it (see CreateOrReplace).
 func (c *Catalog) Load(r io.Reader, source string) (Info, error) {
 	parsed, err := relio.ReadRelation(r, source)
 	if err != nil {
 		return Info{}, err
 	}
+	return c.CreateOrReplace(parsed.Name, parsed.Vars, parsed.Tuples)
+}
+
+// CreateOrReplace is Load on parsed rows. A new name is created; an
+// existing name of the same arity has its contents replaced in place
+// (bumping the epoch, so bound prepared queries see the new data) and
+// its default variable binding updated. Loading over an existing
+// relation with a different arity is an error — drop it first.
+func (c *Catalog) CreateOrReplace(name string, vars []string, tuples [][]int) (Info, error) {
 	// Holding c.mu across the whole create-or-replace keeps the load
 	// atomic: a concurrent Drop cannot strand the upload on an orphaned
 	// relation object, and two concurrent loads of the same new name
 	// serialize into create-then-replace instead of one of them failing.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, exists := c.rels[parsed.Name]; exists {
-		if e.rel.Arity() != len(parsed.Vars) {
+	if e, exists := c.rels[name]; exists {
+		if e.rel.Arity() != len(vars) {
 			return Info{}, fmt.Errorf("catalog: relation %q exists with arity %d, load has arity %d (drop it first)",
-				parsed.Name, e.rel.Arity(), len(parsed.Vars))
+				name, e.rel.Arity(), len(vars))
 		}
-		if err := checkTuples(parsed.Name, e.rel.Arity(), parsed.Tuples); err != nil {
+		if err := CheckTuples(name, e.rel.Arity(), tuples); err != nil {
 			return Info{}, err
 		}
 		if err := c.appendLocked(&storage.Record{
-			Op: storage.OpReplace, Name: parsed.Name, Epoch: e.rel.Epoch(),
-			Vars: parsed.Vars, Tuples: parsed.Tuples,
+			Op: storage.OpReplace, Name: name, Epoch: e.rel.Epoch(), Vars: vars, Tuples: tuples,
 		}); err != nil {
 			return Info{}, err
 		}
-		if err := e.rel.Replace(parsed.Tuples); err != nil {
+		if err := e.rel.Replace(tuples); err != nil {
 			return Info{}, err
 		}
-		e.vars = append([]string(nil), parsed.Vars...)
+		e.vars = append([]string(nil), vars...)
 		c.maybeCompactLocked()
-		return e.describe(parsed.Name), nil
+		return e.describe(name), nil
 	}
-	if _, err := c.createLocked(parsed.Name, parsed.Vars, parsed.Tuples); err != nil {
+	if _, err := c.createLocked(name, vars, tuples); err != nil {
 		return Info{}, err
 	}
 	c.maybeCompactLocked()
-	return c.rels[parsed.Name].describe(parsed.Name), nil
+	return c.rels[name].describe(name), nil
 }
 
 // Dump writes the named relation in the relio interchange format
@@ -466,23 +479,6 @@ func (c *Catalog) Dump(w io.Writer, name string) error {
 		return fmt.Errorf("catalog: unknown relation %q", name)
 	}
 	return relio.WriteRelation(w, &relio.Relation{Name: name, Vars: vars, Tuples: tuples})
-}
-
-// DumpFile writes the named relation to a file atomically (temp file +
-// rename): a crash or concurrent reader sees the previous file or the
-// complete new one, never a torn dump.
-func (c *Catalog) DumpFile(path, name string) error {
-	c.mu.RLock()
-	e, ok := c.rels[name]
-	var rel relio.Relation
-	if ok {
-		rel = relio.Relation{Name: name, Vars: append([]string(nil), e.vars...), Tuples: e.rel.Tuples()}
-	}
-	c.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("catalog: unknown relation %q", name)
-	}
-	return relio.WriteRelationFile(path, &rel)
 }
 
 // Query parses a textual join expression such as "R(A,B), S(B,C)"
@@ -599,89 +595,6 @@ func (c *Catalog) Restore(name string, vars []string, epoch uint64, tuples [][]i
 	}
 	c.rels[name] = &entry{rel: rel, vars: append([]string(nil), vars...)}
 	c.maybeCompactLocked()
-	return nil
-}
-
-// Reopen attempts to leave degraded read-only mode by swapping in a
-// freshly opened backend. open must return a backend over the same
-// durable store (e.g. a new storage.OpenDurable on the same
-// directory); its recovered state is verified against the in-memory
-// catalog before the swap. By log-then-apply, the in-memory state is
-// exactly the successfully appended prefix, and a failed append's torn
-// tail is truncated by recovery — so on the expected path the two
-// match, the new backend takes over, and mutations resume. A mismatch
-// (e.g. the failed append landed in full but was never applied in
-// memory) means resuming could diverge memory from disk; Reopen then
-// refuses, closes the new backend, and the catalog stays read-only —
-// a process restart recovers the durable state cleanly.
-//
-// Reopen on a healthy catalog is a no-op. Live relation pointers are
-// untouched, so prepared queries bound through the catalog stay valid.
-func (c *Catalog) Reopen(open func() (storage.Backend, error)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.degraded == nil {
-		return nil
-	}
-	nb, err := open()
-	if err != nil {
-		return err
-	}
-	state, err := nb.Recover()
-	if err != nil {
-		nb.Close()
-		return err
-	}
-	if err := c.verifyStateLocked(state); err != nil {
-		nb.Close()
-		return fmt.Errorf("catalog: reopen: %w", err)
-	}
-	old := c.backend
-	c.backend = nb
-	c.degraded = nil
-	old.Close()
-	return nil
-}
-
-// verifyStateLocked checks that a recovered state is exactly the
-// in-memory catalog: same relations (name, binding, epoch, tuples) and
-// same query definitions.
-func (c *Catalog) verifyStateLocked(state *storage.State) error {
-	if len(state.Relations) != len(c.rels) {
-		return fmt.Errorf("recovered %d relations, memory has %d", len(state.Relations), len(c.rels))
-	}
-	for i := range state.Relations {
-		rs := &state.Relations[i]
-		e, ok := c.rels[rs.Name]
-		if !ok {
-			return fmt.Errorf("recovered relation %q not in memory", rs.Name)
-		}
-		if !reflect.DeepEqual(rs.Vars, e.vars) {
-			return fmt.Errorf("relation %q: recovered binding %v, memory has %v", rs.Name, rs.Vars, e.vars)
-		}
-		if rs.Epoch != e.rel.Epoch() {
-			return fmt.Errorf("relation %q: recovered epoch %d, memory at %d", rs.Name, rs.Epoch, e.rel.Epoch())
-		}
-		// Memory holds the rows in sorted order, the log in arrival
-		// order: compare them as multisets.
-		mem := e.rel.Tuples()
-		if len(rs.Tuples) != len(mem) {
-			return fmt.Errorf("relation %q: recovered %d tuples, memory has %d", rs.Name, len(rs.Tuples), len(mem))
-		}
-		recovered := slices.Clone(rs.Tuples)
-		slices.SortFunc(recovered, rows.Compare)
-		if !slices.EqualFunc(recovered, mem, slices.Equal[[]int]) {
-			return fmt.Errorf("relation %q: recovered tuples diverge from memory", rs.Name)
-		}
-	}
-	if len(state.Queries) != len(c.queries) {
-		return fmt.Errorf("recovered %d query definitions, memory has %d", len(state.Queries), len(c.queries))
-	}
-	for _, def := range state.Queries {
-		if mem, ok := c.queries[def.Name]; !ok || !reflect.DeepEqual(def, mem) {
-			return fmt.Errorf("query definition %q diverges from memory", def.Name)
-		}
-	}
 	return nil
 }
 

@@ -306,131 +306,3 @@ func TestFaultSweepCompactionFailSoft(t *testing.T) {
 		t.Fatalf("recovered state: %v", serr)
 	}
 }
-
-// TestReopenLeavesReadOnlyMode: after a poisoning append failure the
-// catalog is read-only; Reopen over the same directory verifies the
-// recovered state against memory, swaps the backend in, and mutations
-// resume — without disturbing live relation pointers.
-func TestReopenLeavesReadOnlyMode(t *testing.T) {
-	dir := t.TempDir()
-	open := func() (storage.Backend, error) {
-		return storage.OpenDurable(dir, storage.Options{})
-	}
-	d, err := open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := storage.NewFaulty(d, "append@3=torn:13")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := Open(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cat.Close()
-
-	rel, err := cat.Create("R", []string{"A", "B"}, [][]int{{1, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.Insert("R", []int{3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cat.Insert("R", []int{5, 6}); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("third mutation = %v, want ErrReadOnly", err)
-	}
-	if cat.Degraded() == nil {
-		t.Fatal("catalog not degraded after poisoning")
-	}
-	// Reads keep working in read-only mode.
-	if got, ok := cat.Get("R"); !ok || got != rel || got.Len() != 2 {
-		t.Fatalf("read in degraded mode: ok=%v len=%d", ok, rel.Len())
-	}
-
-	if err := cat.Reopen(open); err != nil {
-		t.Fatalf("Reopen: %v", err)
-	}
-	if err := cat.Degraded(); err != nil {
-		t.Fatalf("Degraded() after Reopen = %v, want nil", err)
-	}
-	// The relation pointer survived the swap and mutations resume.
-	if _, err := cat.Insert("R", []int{5, 6}); err != nil {
-		t.Fatalf("insert after Reopen: %v", err)
-	}
-	if got, _ := cat.Get("R"); got != rel || rel.Len() != 3 {
-		t.Fatalf("relation identity or contents lost across Reopen (len %d)", rel.Len())
-	}
-
-	// And the resumed history is durable: a fresh recovery sees all
-	// three tuples.
-	cat.Close()
-	d2, err := open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := Open(d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	got, _ := recovered.Get("R")
-	if got == nil || got.Len() != 3 {
-		t.Fatalf("recovered R after Reopen has %v tuples, want 3", got)
-	}
-}
-
-// TestReopenComparesTuplesAsMultisets: memory keeps a relation's rows in
-// sorted order while the log replays them in arrival order, so Reopen
-// must compare the two as multisets — a healthy backend whose inserts
-// arrived out of order (duplicates included) is accepted and the catalog
-// becomes writable again, while a backend holding the same number of
-// different rows at the same epoch is still refused.
-func TestReopenComparesTuplesAsMultisets(t *testing.T) {
-	// script leaves R at epoch 2 with four rows, then poisons the backend
-	// on the fourth append.
-	script := func(dir string, last []int) (*Catalog, func() (storage.Backend, error)) {
-		t.Helper()
-		open := func() (storage.Backend, error) {
-			return storage.OpenDurable(dir, storage.Options{})
-		}
-		d, err := open()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := storage.NewFaulty(d, "append@4=torn:13")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat, err := Open(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cat.Close() })
-		if _, err := cat.Create("R", []string{"A", "B"}, [][]int{{7, 8}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cat.Insert("R", []int{5, 6}, []int{1, 2}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cat.Insert("R", last); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cat.Insert("R", []int{0, 0}); !errors.Is(err, ErrReadOnly) {
-			t.Fatalf("fourth mutation = %v, want ErrReadOnly", err)
-		}
-		return cat, open
-	}
-
-	cat, open := script(t.TempDir(), []int{5, 6}) // arrival order 7 8, 5 6, 1 2, 5 6
-	_, openOther := script(t.TempDir(), []int{9, 9})
-	if err := cat.Reopen(openOther); err == nil || cat.Degraded() == nil {
-		t.Fatalf("Reopen over a backend with different rows = %v, want a divergence error", err)
-	}
-	if err := cat.Reopen(open); err != nil {
-		t.Fatalf("Reopen over the catalog's own healthy backend: %v", err)
-	}
-	if info, err := cat.Insert("R", []int{0, 0}); err != nil || info.Tuples != 5 {
-		t.Fatalf("insert after Reopen = %+v, %v; want 5 tuples", info, err)
-	}
-}

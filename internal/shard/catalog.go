@@ -1,42 +1,17 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
-	"reflect"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	minesweeper "minesweeper"
 	"minesweeper/internal/catalog"
 	"minesweeper/internal/relio"
-	"minesweeper/internal/rows"
 	"minesweeper/internal/storage"
 )
-
-// manifestName is the routing manifest at the data-dir root. The
-// manifest is authoritative for how stored tuples were physically
-// routed: re-deriving a partition from statistics after recovery could
-// disagree with the placement the fragments actually hold, which would
-// silently break the colocation invariant the scatter executor needs.
-const manifestName = "shards.json"
-
-// manifest is the durable routing state: the shard count the directory
-// is laid out for and the partition of every relation. The replica
-// count is recorded for introspection but not enforced — growing or
-// shrinking the replica set is a resync, not a data migration, so a
-// directory opens at any replica count.
-type manifest struct {
-	Shards    int                  `json:"shards"`
-	Replicas  int                  `json:"replicas,omitempty"`
-	Relations map[string]Partition `json:"relations"`
-}
 
 // shardCounters is one shard's serving-side telemetry: scatter runs
 // started, substream tuples emitted, currently running substreams,
@@ -77,20 +52,20 @@ type ShardStat struct {
 	Replicas  []ReplicaStat `json:"replicas,omitempty"`
 }
 
-// ReplicaRef names one down replica and why, for targeted reopening.
-type ReplicaRef struct {
-	Shard   int    `json:"shard"`
-	Replica int    `json:"replica"`
-	Err     string `json:"error"`
-}
-
-// Catalog owns N per-shard fragment sets, each carried by R replicas
-// (every replica a full catalog.Catalog over its own storage.Backend
-// and WAL directory), plus a gathered in-memory view holding every
-// relation whole. The view serves parses, reads and plans — a query is
-// built against view relations exactly as against an unsharded
-// catalog — while the fragments serve scatter execution and
-// durability.
+// Catalog is the serving tier's one data owner: N per-shard fragment
+// sets, each carried by R replicas (every replica a full
+// catalog.Catalog over its own storage.Backend and WAL directory), and
+// every relation whole for parses, reads and plans — a query is built
+// against whole relations, fragments serve scatter execution and
+// durability. One shard, one replica and the memory backend are
+// parameters (New, NewReplicated), not other types.
+//
+// With several shards the whole relations live in a gathered in-memory
+// copy (view) that every mutation is also applied to. With one shard a
+// gather of one fragment is that fragment, so there is no copy: shard
+// 0's serving replica is read in place, and a leadership move — a
+// failover, or a reopen of the serving replica — changes which
+// *Relation a name resolves to (see movedLocked).
 //
 // Mutations route tuples by each relation's Partition, log-then-apply
 // on the shard's primary replica first, then synchronously fan out to
@@ -98,24 +73,28 @@ type ReplicaRef struct {
 // relation's epoch stamp. A primary whose store is poisoned is marked
 // down and a healthy follower is promoted in its place — the mutation
 // retries there, so a single replica failure never flips the shard
-// read-only. The API mirrors catalog.Catalog so the serving layer
-// treats the two uniformly.
+// read-only.
 type Catalog struct {
-	n    int
-	r    int
-	dir  string // "" for in-memory
-	opts storage.Options
+	n   int
+	r   int
+	dir string // "" for in-memory
 
 	// mu serializes mutations, replica-set changes and partition
-	// changes; reads go straight to the view (which has its own lock).
+	// changes.
 	mu       sync.Mutex
 	replicas [][]*catalog.Catalog // [shard][replica]
 	primary  []int                // serving replica per shard
 	down     [][]error            // non-nil marks a failed replica
-	view     *catalog.Catalog
+	view     *catalog.Catalog     // gathered copy; nil with one shard
 	parts    map[string]Partition
-	version  uint64 // bumped on parts/replica-set changes; scatter plans pin it
+	version  uint64 // bumped on parts/replica-set changes; plans pin it
 	counters []shardCounters
+	// lineage ties together the successive *Relation objects one whole
+	// relation has been served from across leadership moves (one shard
+	// only; the gathered copy never changes identity). Keys are weak so
+	// a superseded leader's copy of the data is not kept alive.
+	lineage  map[weak.Pointer[minesweeper.Relation]]uint64
+	lineages uint64
 
 	failovers atomic.Int64
 
@@ -125,18 +104,21 @@ type Catalog struct {
 	killHook func(shard, replica int, tuple []int) error
 }
 
-func newCatalog(shards, replicas int, dir string, opts storage.Options) *Catalog {
+func newCatalog(shards, replicas int, dir string) *Catalog {
+	shards, replicas = max(shards, 1), max(replicas, 1)
 	c := &Catalog{
 		n:        shards,
 		r:        replicas,
 		dir:      dir,
-		opts:     opts,
-		view:     catalog.New(),
 		replicas: make([][]*catalog.Catalog, shards),
 		primary:  make([]int, shards),
 		down:     make([][]error, shards),
 		parts:    make(map[string]Partition),
 		counters: make([]shardCounters, shards),
+		lineage:  make(map[weak.Pointer[minesweeper.Relation]]uint64),
+	}
+	if shards > 1 {
+		c.view = catalog.New()
 	}
 	for i := range c.replicas {
 		c.replicas[i] = make([]*catalog.Catalog, replicas)
@@ -145,22 +127,16 @@ func newCatalog(shards, replicas int, dir string, opts storage.Options) *Catalog
 	return c
 }
 
-// New returns an in-memory sharded catalog (no durability, one replica
-// per shard), for tests and -data-dir-less serving.
+// New returns an in-memory catalog (no durability, one replica per
+// shard).
 func New(shards int) *Catalog { return NewReplicated(shards, 1) }
 
-// NewReplicated returns an in-memory sharded catalog with R replicas
-// per shard. Without durable backends a down replica cannot be
+// NewReplicated returns an in-memory catalog with R replicas per
+// shard. Without durable backends a down replica cannot be
 // reopened from disk, but failover, fan-out and divergence checks
 // behave exactly as over durable stores.
 func NewReplicated(shards, replicas int) *Catalog {
-	if shards < 1 {
-		shards = 1
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	c := newCatalog(shards, replicas, "", storage.Options{})
+	c := newCatalog(shards, replicas, "")
 	for i := range c.replicas {
 		for j := range c.replicas[i] {
 			c.replicas[i][j] = catalog.New()
@@ -169,499 +145,46 @@ func NewReplicated(shards, replicas int) *Catalog {
 	return c
 }
 
-// ShardDir returns the directory of one shard under the data dir.
-func ShardDir(dir string, shard int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d", shard))
+// wholeLocked returns the catalog holding every relation whole: the
+// gathered copy, or — with one shard, where a gather of one fragment is
+// that fragment — shard 0's serving replica. Callers hold c.mu.
+func (c *Catalog) wholeLocked() *catalog.Catalog {
+	if c.view == nil {
+		return c.leaderLocked(0)
+	}
+	return c.view
 }
 
-// ReplicaDir returns the WAL directory of one replica of one shard.
-func ReplicaDir(dir string, shard, replica int) string {
-	return filepath.Join(ShardDir(dir, shard), fmt.Sprintf("replica-%d", replica))
+// whole is wholeLocked for readers. Only the leadership lookup needs
+// c.mu — the gathered copy is set once at construction — so with
+// several shards a read never waits behind a mutation holding it.
+func (c *Catalog) whole() *catalog.Catalog {
+	if c.view == nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	return c.wholeLocked()
 }
 
-// Open recovers a single-replica sharded catalog from dir — the
-// pre-replication entry point, kept for callers that don't replicate.
-func Open(dir string, shards int, opts storage.Options) (*Catalog, error) {
-	return OpenReplicated(dir, shards, 1, opts)
-}
-
-// OpenReplicated recovers a sharded catalog from dir with R replicas
-// per shard: each replica replays its own WAL+snapshot under
-// shard-<i>/replica-<j>/ (restoring exact per-fragment epochs), the
-// furthest-along replica of each shard is elected primary and its
-// siblings are resynced from it, the gathered view is rebuilt from the
-// primaries, and routing comes from the manifest. Relations missing a
-// manifest entry (a crash between fragment writes and the manifest
-// write) are deterministically repartitioned and redistributed.
-// Opening a directory laid out for a different shard count is refused
-// — re-routing existing placements across a new count is a data
-// migration, not a recovery. A different replica count is fine: new
-// replica directories start empty and resync from the elected primary.
-func OpenReplicated(dir string, shards, replicas int, opts storage.Options) (*Catalog, error) {
-	return OpenWith(dir, shards, replicas, opts, func(shard, replica int) (storage.Backend, error) {
-		return storage.OpenDurable(ReplicaDir(dir, shard, replica), opts)
-	})
-}
-
-// OpenWith is OpenReplicated with an explicit backend factory — the
-// seam for wrapping replicas in instrumented or fault-injecting
-// backends (storage.Faulty) without changing the recovery path.
-func OpenWith(dir string, shards, replicas int, opts storage.Options, backend func(shard, replica int) (storage.Backend, error)) (*Catalog, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	if replicas < 1 {
-		replicas = 1
-	}
-	m, err := readManifest(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, err
-	}
-	if m != nil && m.Shards != shards {
-		return nil, fmt.Errorf("shard: %s is laid out for %d shards, cannot open with %d", dir, m.Shards, shards)
-	}
-	for i := 0; i < shards; i++ {
-		if err := migrateLegacyShardDir(ShardDir(dir, i)); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	c := newCatalog(shards, replicas, dir, opts)
-	for i := 0; i < shards; i++ {
-		for j := 0; j < replicas; j++ {
-			b, err := backend(i, j)
-			if err != nil {
-				c.closeOpened()
-				return nil, fmt.Errorf("shard %d replica %d: %w", i, j, err)
-			}
-			cat, err := catalog.Open(b)
-			if err != nil {
-				b.Close()
-				c.closeOpened()
-				return nil, fmt.Errorf("shard %d replica %d: %w", i, j, err)
-			}
-			c.replicas[i][j] = cat
-		}
-	}
-	if err := c.recover(m); err != nil {
-		c.closeOpened()
-		return nil, err
-	}
-	return c, nil
-}
-
-// migrateLegacyShardDir moves a pre-replication shard layout (WAL and
-// snapshot files directly under shard-<i>/) into replica-0/, so a
-// store written before replication opens cleanly at any replica count.
-func migrateLegacyShardDir(sd string) error {
-	if _, err := os.Stat(filepath.Join(sd, "replica-0")); err == nil {
-		return nil
-	}
-	entries, err := os.ReadDir(sd)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.Type().IsRegular() && (strings.HasPrefix(name, "wal-") || strings.HasPrefix(name, "snapshot-")) {
-			files = append(files, name)
-		}
-	}
-	if len(files) == 0 {
-		return nil
-	}
-	r0 := filepath.Join(sd, "replica-0")
-	if err := os.MkdirAll(r0, 0o755); err != nil {
-		return err
-	}
-	for _, name := range files {
-		if err := os.Rename(filepath.Join(sd, name), filepath.Join(r0, name)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *Catalog) closeOpened() {
-	for i := range c.replicas {
-		for _, cc := range c.replicas[i] {
-			if cc != nil {
-				cc.Close()
-			}
-		}
-	}
-}
-
-// replicaScore ranks a recovered replica for primary election:
-// epoch sum first (the furthest-along mutation history), then relation
-// and tuple counts as tie-breaks so an empty new replica directory
-// never outranks real data.
-type replicaScore struct {
-	epochs uint64
-	rels   int
-	tuples int
-}
-
-func (s replicaScore) beats(o replicaScore) bool {
-	if s.epochs != o.epochs {
-		return s.epochs > o.epochs
-	}
-	if s.rels != o.rels {
-		return s.rels > o.rels
-	}
-	return s.tuples > o.tuples
-}
-
-func scoreReplica(cc *catalog.Catalog) replicaScore {
-	var s replicaScore
-	for _, info := range cc.Relations() {
-		s.epochs += info.Epoch
-		s.rels++
-		s.tuples += info.Tuples
-	}
-	return s
-}
-
-// resyncFrom brings tgt to src's exact state: relations diverging by
-// epoch are force-restored (exact epoch stamp included, so later
-// divergence checks hold), relations src lacks are dropped, and — for
-// the control-plane shard — the query-definition registry is mirrored.
-func resyncFrom(tgt, src *catalog.Catalog, defs bool) error {
-	for _, info := range src.Relations() {
-		srel, ok := src.Get(info.Name)
-		if !ok {
-			continue
-		}
-		if trel, ok := tgt.Get(info.Name); ok && trel.Epoch() == info.Epoch {
-			continue
-		}
-		if err := tgt.Restore(info.Name, info.Vars, info.Epoch, srel.Tuples()); err != nil {
-			return err
-		}
-	}
-	for _, name := range tgt.Names() {
-		if _, ok := src.Get(name); !ok {
-			if err := tgt.Drop(name); err != nil {
-				return err
-			}
-		}
-	}
-	if defs {
-		want := map[string]storage.QueryDef{}
-		for _, def := range src.QueryDefs() {
-			want[def.Name] = def
-		}
-		for _, def := range tgt.QueryDefs() {
-			if w, ok := want[def.Name]; ok && reflect.DeepEqual(w, def) {
-				delete(want, def.Name)
-				continue
-			}
-			if _, ok := want[def.Name]; !ok {
-				if err := tgt.DropQueryDef(def.Name); err != nil {
-					return err
-				}
-			}
-		}
-		names := make([]string, 0, len(want))
-		for n := range want {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if err := tgt.PutQueryDef(want[n]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// recover elects each shard's primary, resyncs its siblings, rebuilds
-// the gathered view and routing table from the primaries plus the
-// manifest.
-func (c *Catalog) recover(m *manifest) error {
-	for i := range c.replicas {
-		best, bs := 0, scoreReplica(c.replicas[i][0])
-		for j := 1; j < c.r; j++ {
-			if s := scoreReplica(c.replicas[i][j]); s.beats(bs) {
-				best, bs = j, s
-			}
-		}
-		c.primary[i] = best
-		for j := range c.replicas[i] {
-			if j == best {
-				continue
-			}
-			if err := resyncFrom(c.replicas[i][j], c.replicas[i][best], i == 0); err != nil {
-				return fmt.Errorf("shard %d: resyncing replica %d: %w", i, j, err)
-			}
-		}
-	}
-	names := map[string]bool{}
-	for i := range c.replicas {
-		for _, n := range c.leaderLocked(i).Names() {
-			names[n] = true
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		var vars []string
-		var gathered [][]int
-		var epochSum uint64
-		for i := range c.replicas {
-			lead := c.leaderLocked(i)
-			rel, ok := lead.Get(name)
-			if !ok {
-				continue
-			}
-			if vars == nil {
-				vars, _ = lead.Vars(name)
-			}
-			gathered = append(gathered, rel.Tuples()...)
-			epochSum += rel.Epoch()
-		}
-		rel, err := c.view.Create(name, vars, gathered)
-		if err != nil {
-			return fmt.Errorf("shard: gathering relation %q: %w", name, err)
-		}
-		if err := rel.RestoreEpoch(epochSum); err != nil {
-			return fmt.Errorf("shard: gathering relation %q: %w", name, err)
-		}
-		if m != nil {
-			if p, ok := m.Relations[name]; ok && p.Column < len(vars) {
-				c.parts[name] = p
-				continue
-			}
-		}
-		// No (usable) manifest entry: repartition deterministically and
-		// redistribute the gathered tuples so the colocation invariant
-		// holds again.
-		p := choosePartition(vars, gathered, c.n)
-		if err := c.redistribute(name, vars, gathered, p); err != nil {
-			return fmt.Errorf("shard: repartitioning relation %q: %w", name, err)
-		}
-		c.parts[name] = p
-	}
-	return c.writeManifest()
-}
-
-// redistribute replaces every replica's fragment of name with its
-// bucket under p, creating the relation where it is missing. Recovery
-// only — it assumes every replica is healthy and in lockstep, which
-// holds right after resyncFrom.
-func (c *Catalog) redistribute(name string, vars []string, tuples [][]int, p Partition) error {
-	buckets := p.split(tuples, c.n)
-	for i := range c.replicas {
-		for _, cc := range c.replicas[i] {
-			if _, ok := cc.Get(name); ok {
-				if _, err := cc.Replace(name, buckets[i]); err != nil {
-					return err
-				}
-				continue
-			}
-			if _, err := cc.Create(name, vars, buckets[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// writeManifest persists the routing table atomically (temp + rename).
-// In-memory catalogs skip it.
-func (c *Catalog) writeManifest() error {
-	if c.dir == "" {
-		return nil
-	}
-	m := manifest{Shards: c.n, Replicas: c.r, Relations: c.parts}
-	data, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(c.dir, manifestName)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-func readManifest(path string) (*manifest, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("shard: reading %s: %w", path, err)
-	}
-	if m.Relations == nil {
-		m.Relations = map[string]Partition{}
-	}
-	return &m, nil
-}
-
-// checkTuples mirrors the catalog's pre-mutation validation: routing
-// indexes into tuples by the partition column, so arity and domain must
-// hold before any tuple is routed.
-func checkTuples(name string, arity int, tuples [][]int) error {
-	if err := rows.Check(arity, tuples); err != nil {
-		return fmt.Errorf("catalog: relation %q: %w", name, err)
-	}
-	return nil
-}
-
-// --- replica health and failover --------------------------------------
-
-// leaderLocked returns shard i's serving replica. Callers hold c.mu.
-func (c *Catalog) leaderLocked(i int) *catalog.Catalog { return c.replicas[i][c.primary[i]] }
-
-// markDownLocked records a replica failure (first cause wins) and bumps
-// the plan version so scatter plans re-bind off the dead replica.
-func (c *Catalog) markDownLocked(shard, replica int, cause error) {
-	if c.down[shard][replica] == nil {
-		c.down[shard][replica] = cause
-	}
-	c.version++
-}
-
-// promoteLocked points the shard's leadership at the first healthy
-// replica, reporting whether one exists. Promoting away from the
-// current leader counts as a failover.
-func (c *Catalog) promoteLocked(shard int) bool {
-	for j, cc := range c.replicas[shard] {
-		if c.down[shard][j] == nil && cc.Healthy() == nil {
-			if c.primary[shard] != j {
-				c.primary[shard] = j
-				c.failovers.Add(1)
-			}
-			c.version++
-			return true
-		}
-	}
-	return false
-}
-
-// markReplicaDown is the scatter executor's failure-detection entry:
-// a substream that found its replica dead mid-run marks it here, and
-// leadership moves if the dead replica was serving.
-func (c *Catalog) markReplicaDown(shard, replica int, cause error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.markDownLocked(shard, replica, cause)
-	if c.primary[shard] == replica {
-		c.promoteLocked(shard)
-	}
-}
-
-// replicaHealth reports whether a replica can keep serving a
-// substream: its down marker if set, else its catalog's health (which
-// asks the backend directly, so out-of-band poisoning — an injected
-// sync failure with no intervening mutation — is caught too).
-func (c *Catalog) replicaHealth(shard, replica int) error {
-	c.mu.Lock()
-	if err := c.down[shard][replica]; err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	cc := c.replicas[shard][replica]
-	c.mu.Unlock()
-	return cc.Healthy()
-}
-
-// shardDegradedLocked returns nil while the shard has at least one
-// healthy replica; otherwise the first replica's failure.
-func (c *Catalog) shardDegradedLocked(i int) error {
-	var firstErr error
-	for j, cc := range c.replicas[i] {
-		err := c.down[i][j]
-		if err == nil {
-			err = cc.Healthy()
-		}
-		if err == nil {
-			return nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
-	return fmt.Errorf("shard %d: no healthy replica: %w", i, firstErr)
-}
-
-// applyShardLocked runs one mutation against shard i: log-then-apply on
-// the primary (failing over to a healthy follower when the primary's
-// store is poisoned), then synchronous fan-out to the healthy
-// followers with a divergence check on rel's epoch stamp (skipped for
-// control-plane mutations, rel == ""). A follower that fails to apply
-// or diverges is marked down — the mutation still succeeds. Only when
-// no replica can accept the mutation does the shard surface an error
-// (which wraps the primary's ErrReadOnly, so the serving layer still
-// classifies it as 503 read-only).
-func (c *Catalog) applyShardLocked(i int, rel string, apply func(cc *catalog.Catalog) error) error {
-	for {
-		lead := c.primary[i]
-		cc := c.replicas[i][lead]
-		if c.down[i][lead] != nil {
-			if !c.promoteLocked(i) {
-				return fmt.Errorf("shard %d: no healthy replica: %w", i, c.down[i][lead])
-			}
-			continue
-		}
-		err := apply(cc)
-		if err == nil {
-			break
-		}
-		if cc.Healthy() != nil {
-			// Storage fault: the primary poisoned itself. Mark it down,
-			// promote a follower, retry there.
-			c.markDownLocked(i, lead, err)
-			if !c.promoteLocked(i) {
-				return fmt.Errorf("shard %d: no healthy replica: %w", i, err)
-			}
-			continue
-		}
-		// Validation failure — deterministic, would fail identically on
-		// every replica. Not a failover trigger.
-		return err
-	}
-	lead := c.primary[i]
-	for j, cc := range c.replicas[i] {
-		if j == lead || c.down[i][j] != nil {
-			continue
-		}
-		if err := apply(cc); err != nil {
-			c.markDownLocked(i, j, fmt.Errorf("follower apply: %w", err))
-			continue
-		}
-		if rel == "" {
-			continue
-		}
-		lr, lok := c.replicas[i][lead].Get(rel)
-		fr, fok := cc.Get(rel)
-		if lok != fok || (lok && fok && lr.Epoch() != fr.Epoch()) {
-			c.markDownLocked(i, j, fmt.Errorf("replica diverged from primary on %q", rel))
-		}
-	}
-	return nil
-}
-
-// rebuildViewLocked resynchronizes the view of one relation with the
-// union of its primary fragments — the generic repair after a mutation
-// applied to only part of the shard set.
+// rebuildViewLocked resynchronizes the gathered copy of one relation
+// with the union of its primary fragments — the generic repair after a
+// mutation applied to only part of the shard set. One shard has no
+// copy to repair.
 func (c *Catalog) rebuildViewLocked(name string) {
-	var vars []string
-	var gathered [][]int
-	found := false
+	if c.view == nil {
+		return
+	}
+	if vars, gathered, _ := c.gatherLocked(name); vars != nil {
+		c.view.CreateOrReplace(name, vars, gathered)
+		return
+	}
+	c.view.Drop(name)
+}
+
+// gatherLocked unions the primaries' fragments of one relation: its
+// default binding (nil when no shard has it), every row, and the sum of
+// the fragment epochs.
+func (c *Catalog) gatherLocked(name string) (vars []string, tuples [][]int, epochs uint64) {
 	for i := range c.replicas {
 		lead := c.leaderLocked(i)
 		rel, ok := lead.Get(name)
@@ -671,18 +194,10 @@ func (c *Catalog) rebuildViewLocked(name string) {
 		if vars == nil {
 			vars, _ = lead.Vars(name)
 		}
-		found = true
-		gathered = append(gathered, rel.Tuples()...)
+		tuples = append(tuples, rel.Tuples()...)
+		epochs += rel.Epoch()
 	}
-	if !found {
-		c.view.Drop(name)
-		return
-	}
-	if _, ok := c.view.Get(name); ok {
-		c.view.Replace(name, gathered)
-		return
-	}
-	c.view.Create(name, vars, gathered)
+	return vars, tuples, epochs
 }
 
 // Shards returns the shard count.
@@ -690,17 +205,6 @@ func (c *Catalog) Shards() int { return c.n }
 
 // ReplicaCount returns the per-shard replica count.
 func (c *Catalog) ReplicaCount() int { return c.r }
-
-// Primary returns the shard's current serving replica index.
-func (c *Catalog) Primary(shard int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.primary[shard]
-}
-
-// Failovers returns how many times leadership moved off a failed
-// primary.
-func (c *Catalog) Failovers() int64 { return c.failovers.Load() }
 
 // PartitionOf returns the relation's current partition. ok is false for
 // unknown relations and for relations left unpartitioned by a partial
@@ -712,36 +216,90 @@ func (c *Catalog) PartitionOf(name string) (Partition, bool) {
 	return p, ok
 }
 
-// partsVersion pins the routing table's revision for scatter plans.
-func (c *Catalog) partsVersion() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.version
+// mutation is one catalog mutation over a tuple batch: a replica gets
+// its shard's bucket, the gathered copy the whole batch.
+type mutation func(cc *catalog.Catalog, tuples [][]int) (catalog.Info, error)
+
+// fragmentsLocked applies op to every shard with work — a non-empty
+// bucket, or any bucket when all is set (mutations that rewrite or
+// remove the relation touch every fragment); an empty batch still goes
+// to shard 0 so the no-op answers — primary first, then fan-out. It
+// returns the Info of the last shard touched.
+func (c *Catalog) fragmentsLocked(name string, tuples [][]int, buckets [][][]int, all bool, op mutation) (info catalog.Info, err error) {
+	for i, b := range buckets {
+		if len(b) == 0 && !all && (i > 0 || len(tuples) > 0) {
+			continue
+		}
+		if info, err = c.applyShardLocked(i, name, func(cc *catalog.Catalog) (catalog.Info, error) { return op(cc, b) }); err != nil {
+			return catalog.Info{}, err
+		}
+	}
+	return info, nil
 }
 
-// Create splits the tuples under a planner-chosen partition, creates
-// the owning fragment on every shard (all replicas), then the gathered
-// view relation, which it returns.
+// routeLocked applies op to the fragments (fragmentsLocked) and then,
+// with the whole batch, to the gathered copy; it returns the whole
+// relation's post-mutation Info. With one shard the fragment just
+// mutated is the whole relation, so its Info is the answer.
+func (c *Catalog) routeLocked(name string, tuples [][]int, buckets [][][]int, all bool, op mutation) (catalog.Info, error) {
+	info, err := c.fragmentsLocked(name, tuples, buckets, all, op)
+	if err != nil || c.view == nil {
+		return info, err
+	}
+	return op(c.view, tuples)
+}
+
+// lookupLocked finds the whole relation a mutation names and validates
+// the batch against it before any tuple is routed: routing indexes into
+// tuples by the partition column, so arity and domain must hold first.
+func (c *Catalog) lookupLocked(name string, tuples [][]int) (*minesweeper.Relation, error) {
+	rel, ok := c.wholeLocked().Get(name)
+	if !ok {
+		return nil, fmt.Errorf("catalog: unknown relation %q", name)
+	}
+	return rel, catalog.CheckTuples(name, rel.Arity(), tuples)
+}
+
+// rewriteLocked replaces every fragment of name by its bucket of tuples
+// under p, and the gathered copy by all of them. A shard-wide failure
+// leaves fragments under two different layouts, which breaks the
+// colocation invariant — the relation is demoted to unpartitioned
+// (gathered execution only, no scatter) until a restart repartitions
+// it.
+func (c *Catalog) rewriteLocked(name string, p Partition, tuples [][]int, op mutation) (catalog.Info, error) {
+	info, err := c.routeLocked(name, tuples, p.split(tuples, c.n), true, op)
+	if err != nil {
+		delete(c.parts, name)
+		c.version++
+		c.rebuildViewLocked(name)
+		c.writeManifest()
+		return catalog.Info{}, err
+	}
+	c.parts[name] = p
+	c.version++
+	return info, c.writeManifest()
+}
+
+// Create splits the tuples under a planner-chosen partition and creates
+// the owning fragment on every shard (all replicas); it returns the
+// whole relation.
 func (c *Catalog) Create(name string, vars []string, tuples [][]int) (*minesweeper.Relation, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.validateNew(name, vars, tuples); err != nil {
+	if err := catalog.CheckNew(name, vars); err != nil {
+		return nil, err
+	}
+	if _, dup := c.wholeLocked().Get(name); dup {
+		return nil, fmt.Errorf("catalog: relation %q already exists", name)
+	}
+	if err := catalog.CheckTuples(name, len(vars), tuples); err != nil {
 		return nil, err
 	}
 	p := choosePartition(vars, tuples, c.n)
-	buckets := p.split(tuples, c.n)
-	for i := 0; i < c.n; i++ {
-		b := buckets[i]
-		if err := c.applyShardLocked(i, name, func(cc *catalog.Catalog) error {
-			_, err := cc.Create(name, vars, b)
-			return err
-		}); err != nil {
-			c.dropEverywhereLocked(name)
-			return nil, err
-		}
-	}
-	rel, err := c.view.Create(name, vars, tuples)
-	if err != nil {
+	if _, err := c.routeLocked(name, tuples, p.split(tuples, c.n), true, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
+		_, err := cc.Create(name, vars, b)
+		return catalog.Info{}, err
+	}); err != nil {
 		c.dropEverywhereLocked(name)
 		return nil, err
 	}
@@ -750,6 +308,7 @@ func (c *Catalog) Create(name string, vars []string, tuples [][]int) (*minesweep
 	if err := c.writeManifest(); err != nil {
 		return nil, err
 	}
+	rel, _ := c.wholeLocked().Get(name)
 	return rel, nil
 }
 
@@ -769,158 +328,88 @@ func (c *Catalog) dropEverywhereLocked(name string) {
 	}
 }
 
-// validateNew pre-checks a Create before any tuple is routed.
-func (c *Catalog) validateNew(name string, vars []string, tuples [][]int) error {
-	if name == "" {
-		return fmt.Errorf("catalog: empty relation name")
-	}
-	if len(vars) == 0 {
-		return fmt.Errorf("catalog: relation %q: empty variable list", name)
-	}
-	seen := map[string]bool{}
-	for _, v := range vars {
-		if seen[v] {
-			return fmt.Errorf("catalog: relation %q: repeated variable %q", name, v)
-		}
-		seen[v] = true
-	}
-	if _, dup := c.view.Get(name); dup {
-		return fmt.Errorf("catalog: relation %q already exists", name)
-	}
-	return checkTuples(name, len(vars), tuples)
-}
-
-// Insert routes the tuples to their owning fragments, applies the
-// per-shard inserts (primary first, fan-out to followers), then the
-// view insert, whose gathered Info it returns. On a shard-wide failure
-// the view is rebuilt from the fragments so reads stay consistent with
-// what was durably applied; the colocation invariant is unaffected
-// (every applied copy was routed).
-func (c *Catalog) Insert(name string, tuples ...[]int) (catalog.Info, error) {
+// mutate is Insert and Delete: validate the batch, route it to the
+// owning fragments by the relation's partition, apply per shard
+// (primary first, fan-out to followers) and to the gathered copy. It
+// returns the whole relation's tuple count before and Info after. A
+// relation left unpartitioned by a partial replace failure is excluded
+// from scatter until recovery repartitions it, so placement is free:
+// inserts park on shard 0, deletes broadcast to every shard (correct
+// under any placement). On a shard-wide failure the gathered copy is
+// rebuilt from the fragments so reads stay consistent with what was
+// durably applied; the colocation invariant is unaffected (every
+// applied copy was routed).
+func (c *Catalog) mutate(name string, tuples [][]int, broadcast bool, op mutation) (int, catalog.Info, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rel, ok := c.view.Get(name)
-	if !ok {
-		return catalog.Info{}, fmt.Errorf("catalog: unknown relation %q", name)
-	}
-	if err := checkTuples(name, rel.Arity(), tuples); err != nil {
-		return catalog.Info{}, err
-	}
-	p, partitioned := c.parts[name]
-	var buckets [][][]int
-	if partitioned {
-		buckets = p.split(tuples, c.n)
-	} else {
-		// Unpartitioned fallback (after a partial replace failure): park
-		// new rows on shard 0; the relation is excluded from scatter
-		// until recovery repartitions it, so placement is free.
-		buckets = make([][][]int, c.n)
-		buckets[0] = tuples
-	}
-	for i, b := range buckets {
-		if len(b) == 0 && !(i == 0 && len(tuples) == 0) {
-			continue
-		}
-		b := b
-		if err := c.applyShardLocked(i, name, func(cc *catalog.Catalog) error {
-			_, err := cc.Insert(name, b...)
-			return err
-		}); err != nil {
-			c.rebuildViewLocked(name)
-			return catalog.Info{}, err
-		}
-	}
-	return c.view.Insert(name, tuples...)
-}
-
-// Delete removes every stored copy of each tuple. Partitioned relations
-// route the deletes (copies colocate); unpartitioned ones broadcast to
-// every shard, which is correct under any placement.
-func (c *Catalog) Delete(name string, tuples ...[]int) (int, catalog.Info, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	rel, ok := c.view.Get(name)
-	if !ok {
-		return 0, catalog.Info{}, fmt.Errorf("catalog: unknown relation %q", name)
-	}
-	if err := checkTuples(name, rel.Arity(), tuples); err != nil {
+	rel, err := c.lookupLocked(name, tuples)
+	if err != nil {
 		return 0, catalog.Info{}, err
 	}
-	p, partitioned := c.parts[name]
 	buckets := make([][][]int, c.n)
-	if partitioned {
+	if p, ok := c.parts[name]; ok {
 		buckets = p.split(tuples, c.n)
 	} else {
 		for i := range buckets {
-			buckets[i] = tuples
+			if i == 0 || broadcast {
+				buckets[i] = tuples
+			}
 		}
 	}
-	for i, b := range buckets {
-		if len(b) == 0 && !(i == 0 && len(tuples) == 0) {
-			continue
-		}
-		b := b
-		if err := c.applyShardLocked(i, name, func(cc *catalog.Catalog) error {
-			_, _, err := cc.Delete(name, b...)
-			return err
-		}); err != nil {
-			c.rebuildViewLocked(name)
-			return 0, catalog.Info{}, err
-		}
+	before := rel.Len()
+	info, err := c.routeLocked(name, tuples, buckets, false, op)
+	if err != nil {
+		c.rebuildViewLocked(name)
 	}
-	return c.view.Delete(name, tuples...)
+	return before, info, err
+}
+
+// Insert adds the tuples and returns the whole relation's Info.
+func (c *Catalog) Insert(name string, tuples ...[]int) (catalog.Info, error) {
+	_, info, err := c.mutate(name, tuples, false, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
+		return cc.Insert(name, b...)
+	})
+	return info, err
+}
+
+// Delete removes every stored copy of each tuple and reports how many
+// rows went.
+func (c *Catalog) Delete(name string, tuples ...[]int) (int, catalog.Info, error) {
+	before, info, err := c.mutate(name, tuples, true, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
+		_, info, err := cc.Delete(name, b...)
+		return info, err
+	})
+	if err != nil {
+		return 0, info, err
+	}
+	return before - info.Tuples, info, nil
 }
 
 // Replace swaps the relation's contents, re-choosing its partition for
-// the new data and rewriting every fragment. A shard-wide failure
-// leaves fragments under two different layouts, which breaks the
-// colocation invariant — the relation is demoted to unpartitioned
-// (gathered execution only, no scatter) until a restart repartitions
-// it.
+// the new data and rewriting every fragment.
 func (c *Catalog) Replace(name string, tuples [][]int) (catalog.Info, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rel, ok := c.view.Get(name)
-	if !ok {
-		return catalog.Info{}, fmt.Errorf("catalog: unknown relation %q", name)
-	}
-	if err := checkTuples(name, rel.Arity(), tuples); err != nil {
+	if _, err := c.lookupLocked(name, tuples); err != nil {
 		return catalog.Info{}, err
 	}
-	vars, _ := c.view.Vars(name)
-	p := choosePartition(vars, tuples, c.n)
-	buckets := p.split(tuples, c.n)
-	for i := 0; i < c.n; i++ {
-		b := buckets[i]
-		if err := c.applyShardLocked(i, name, func(cc *catalog.Catalog) error {
-			_, err := cc.Replace(name, b)
-			return err
-		}); err != nil {
-			delete(c.parts, name)
-			c.version++
-			c.rebuildViewLocked(name)
-			c.writeManifest()
-			return catalog.Info{}, err
-		}
-	}
-	c.parts[name] = p
-	c.version++
-	if err := c.writeManifest(); err != nil {
-		return catalog.Info{}, err
-	}
-	return c.view.Replace(name, tuples)
+	vars, _ := c.wholeLocked().Vars(name)
+	return c.rewriteLocked(name, choosePartition(vars, tuples, c.n), tuples, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
+		return cc.Replace(name, b)
+	})
 }
 
 // ForcePartition rewrites the relation's fragments under an explicitly
 // given partition — an administrative/testing hook for exercising a
 // routing mode the statistics would not choose. Splits must be strictly
-// increasing for range mode.
+// increasing for range mode. The whole relation keeps its rows, so the
+// gathered copy is left alone.
 func (c *Catalog) ForcePartition(name string, p Partition) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rel, ok := c.view.Get(name)
-	if !ok {
-		return fmt.Errorf("catalog: unknown relation %q", name)
+	rel, err := c.lookupLocked(name, nil)
+	if err != nil {
+		return err
 	}
 	if p.Column < 0 || p.Column >= rel.Arity() {
 		return fmt.Errorf("shard: partition column %d out of range for arity %d", p.Column, rel.Arity())
@@ -933,59 +422,48 @@ func (c *Catalog) ForcePartition(name string, p Partition) error {
 			return fmt.Errorf("shard: range splits must be strictly increasing")
 		}
 	}
-	vars, _ := c.view.Vars(name)
-	buckets := p.split(rel.Tuples(), c.n)
-	for i := 0; i < c.n; i++ {
-		b := buckets[i]
-		if err := c.applyShardLocked(i, name, func(cc *catalog.Catalog) error {
-			if _, ok := cc.Get(name); ok {
-				_, err := cc.Replace(name, b)
-				return err
-			}
-			_, err := cc.Create(name, vars, b)
-			return err
-		}); err != nil {
-			delete(c.parts, name)
-			c.version++
-			c.rebuildViewLocked(name)
-			c.writeManifest()
-			return err
-		}
+	vars, _ := c.wholeLocked().Vars(name)
+	tuples := rel.Tuples()
+	_, err = c.fragmentsLocked(name, tuples, p.split(tuples, c.n), true, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
+		return cc.CreateOrReplace(name, vars, b)
+	})
+	if err != nil {
+		delete(c.parts, name)
+		c.rebuildViewLocked(name)
+	} else {
+		c.parts[name] = p
 	}
-	c.parts[name] = p
+	c.version++
+	if merr := c.writeManifest(); err == nil {
+		err = merr
+	}
+	return err
+}
+
+// Drop removes the relation from every shard.
+func (c *Catalog) Drop(name string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, err := c.lookupLocked(name, nil); err != nil {
+		return err
+	}
+	if _, err := c.routeLocked(name, nil, make([][][]int, c.n), true, func(cc *catalog.Catalog, _ [][]int) (catalog.Info, error) {
+		if _, ok := cc.Get(name); !ok {
+			return catalog.Info{}, nil
+		}
+		return catalog.Info{}, cc.Drop(name)
+	}); err != nil {
+		c.rebuildViewLocked(name)
+		return err
+	}
+	delete(c.parts, name)
 	c.version++
 	return c.writeManifest()
 }
 
-// Drop removes the relation from every shard and the view.
-func (c *Catalog) Drop(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.view.Get(name); !ok {
-		return fmt.Errorf("catalog: unknown relation %q", name)
-	}
-	for i := 0; i < c.n; i++ {
-		if err := c.applyShardLocked(i, name, func(cc *catalog.Catalog) error {
-			if _, ok := cc.Get(name); !ok {
-				return nil
-			}
-			return cc.Drop(name)
-		}); err != nil {
-			c.rebuildViewLocked(name)
-			return err
-		}
-	}
-	delete(c.parts, name)
-	c.version++
-	if err := c.writeManifest(); err != nil {
-		return err
-	}
-	return c.view.Drop(name)
-}
-
 // Load reads a relation in the relio interchange format and
-// creates-or-replaces it, splitting the rows across the shard set under
-// a freshly chosen partition.
+// creates-or-replaces it, splitting the parsed rows across the shard
+// set under a freshly chosen partition.
 func (c *Catalog) Load(r io.Reader, source string) (catalog.Info, error) {
 	parsed, err := relio.ReadRelation(r, source)
 	if err != nil {
@@ -993,57 +471,22 @@ func (c *Catalog) Load(r io.Reader, source string) (catalog.Info, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rel, exists := c.view.Get(parsed.Name); exists && rel.Arity() != len(parsed.Vars) {
+	if rel, exists := c.wholeLocked().Get(parsed.Name); exists && rel.Arity() != len(parsed.Vars) {
 		return catalog.Info{}, fmt.Errorf("catalog: relation %q exists with arity %d, load has arity %d (drop it first)",
 			parsed.Name, rel.Arity(), len(parsed.Vars))
 	}
-	if err := checkTuples(parsed.Name, len(parsed.Vars), parsed.Tuples); err != nil {
+	if err := catalog.CheckTuples(parsed.Name, len(parsed.Vars), parsed.Tuples); err != nil {
 		return catalog.Info{}, err
 	}
 	p := choosePartition(parsed.Vars, parsed.Tuples, c.n)
-	buckets := p.split(parsed.Tuples, c.n)
-	for i := 0; i < c.n; i++ {
-		b := buckets[i]
-		if err := c.applyShardLocked(i, parsed.Name, func(cc *catalog.Catalog) error {
-			return loadInto(cc, parsed.Name, parsed.Vars, b, source)
-		}); err != nil {
-			delete(c.parts, parsed.Name)
-			c.version++
-			c.rebuildViewLocked(parsed.Name)
-			c.writeManifest()
-			return catalog.Info{}, err
-		}
-	}
-	var buf bytes.Buffer
-	if err := relio.WriteRelation(&buf, parsed); err != nil {
-		return catalog.Info{}, err
-	}
-	info, err := c.view.Load(&buf, source)
-	if err != nil {
-		return info, err
-	}
-	c.parts[parsed.Name] = p
-	c.version++
-	if err := c.writeManifest(); err != nil {
-		return info, err
-	}
-	return info, nil
+	return c.rewriteLocked(parsed.Name, p, parsed.Tuples, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
+		return cc.CreateOrReplace(parsed.Name, parsed.Vars, b)
+	})
 }
 
-// loadInto create-or-replaces one fragment through the catalog's Load
-// path, so the fragment's default binding tracks the upload's vars.
-func loadInto(inner *catalog.Catalog, name string, vars []string, tuples [][]int, source string) error {
-	var buf bytes.Buffer
-	if err := relio.WriteRelation(&buf, &relio.Relation{Name: name, Vars: vars, Tuples: tuples}); err != nil {
-		return err
-	}
-	_, err := inner.Load(&buf, source)
-	return err
-}
-
-// Get returns the gathered view relation: queries parse and plan
-// against whole relations; fragments surface only through scatter.
-func (c *Catalog) Get(name string) (*minesweeper.Relation, bool) { return c.view.Get(name) }
+// Get returns the whole relation: queries parse and plan against whole
+// relations; fragments surface only through scatter.
+func (c *Catalog) Get(name string) (*minesweeper.Relation, bool) { return c.whole().Get(name) }
 
 // Fragment returns the primary replica's fragment of the relation on
 // one shard.
@@ -1062,26 +505,17 @@ func (c *Catalog) ReplicaFragment(shard, replica int, name string) (*minesweeper
 	return cc.Get(name)
 }
 
-// Vars returns the relation's default variable binding.
-func (c *Catalog) Vars(name string) ([]string, bool) { return c.view.Vars(name) }
-
 // Len returns the number of cataloged relations.
-func (c *Catalog) Len() int { return c.view.Len() }
+func (c *Catalog) Len() int { return c.whole().Len() }
 
-// Names returns the sorted relation names.
-func (c *Catalog) Names() []string { return c.view.Names() }
+// Relations describes every cataloged relation (whole-relation totals).
+func (c *Catalog) Relations() []catalog.Info { return c.whole().Relations() }
 
-// Relations describes every cataloged relation (gathered totals).
-func (c *Catalog) Relations() []catalog.Info { return c.view.Relations() }
+// Dump writes the whole relation in the relio interchange format.
+func (c *Catalog) Dump(w io.Writer, name string) error { return c.whole().Dump(w, name) }
 
-// Dump writes the gathered relation in the relio interchange format.
-func (c *Catalog) Dump(w io.Writer, name string) error { return c.view.Dump(w, name) }
-
-// DumpFile writes the gathered relation to a file atomically.
-func (c *Catalog) DumpFile(path, name string) error { return c.view.DumpFile(path, name) }
-
-// Query parses a textual join expression against the gathered view.
-func (c *Catalog) Query(expr string) (*minesweeper.Query, error) { return c.view.Query(expr) }
+// Query parses a textual join expression against the whole relations.
+func (c *Catalog) Query(expr string) (*minesweeper.Query, error) { return c.whole().Query(expr) }
 
 // PutQueryDef stores a prepared-query definition durably (on shard 0 —
 // definitions are control-plane state, not partitioned data — with the
@@ -1089,14 +523,20 @@ func (c *Catalog) Query(expr string) (*minesweeper.Query, error) { return c.view
 func (c *Catalog) PutQueryDef(def storage.QueryDef) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.applyShardLocked(0, "", func(cc *catalog.Catalog) error { return cc.PutQueryDef(def) })
+	_, err := c.applyShardLocked(0, "", func(cc *catalog.Catalog) (catalog.Info, error) {
+		return catalog.Info{}, cc.PutQueryDef(def)
+	})
+	return err
 }
 
 // DropQueryDef removes a stored definition.
 func (c *Catalog) DropQueryDef(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.applyShardLocked(0, "", func(cc *catalog.Catalog) error { return cc.DropQueryDef(name) })
+	_, err := c.applyShardLocked(0, "", func(cc *catalog.Catalog) (catalog.Info, error) {
+		return catalog.Info{}, cc.DropQueryDef(name)
+	})
+	return err
 }
 
 // QueryDefs returns the stored definitions.
@@ -1107,149 +547,25 @@ func (c *Catalog) QueryDefs() []storage.QueryDef {
 	return cc.QueryDefs()
 }
 
-// Degraded reports the first shard with no healthy replica, if any:
-// with replication a single dead replica is survivable (failover keeps
-// the shard writable), so only a fully dead shard makes the store
-// read-only and /readyz unready.
-func (c *Catalog) Degraded() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.replicas {
-		if err := c.shardDegradedLocked(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DownReplicas lists every replica currently unable to serve — marked
-// down by failover/divergence/substream detection, or with a poisoned
-// backend — for the serving layer to reopen on independent schedules.
-func (c *Catalog) DownReplicas() []ReplicaRef {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []ReplicaRef
-	for i := range c.replicas {
-		for j, cc := range c.replicas[i] {
-			err := c.down[i][j]
-			if err == nil {
-				err = cc.Healthy()
-			}
-			if err != nil {
-				out = append(out, ReplicaRef{Shard: i, Replica: j, Err: err.Error()})
-			}
-		}
-	}
-	return out
-}
-
-// ReopenReplica restarts one replica on a fresh backend from open and
-// resyncs it from the shard's authoritative in-memory state. While it
-// runs, mutations pause (c.mu) but reads never do: the view is
-// untouched and in-flight scatter substreams keep their bound fragment
-// objects. The authority is the current primary's in-memory catalog —
-// by log-then-apply it is exactly the applied mutation prefix, and it
-// stays the authority even when the primary's own store is poisoned
-// (its memory still holds the served state). Reopening the primary
-// itself therefore resyncs it from its own memory: relations whose
-// recovered epoch already matches are left alone, anything else
-// (including a torn or half-applied tail) is force-restored. If the
-// shard's leadership sits on a down replica afterwards, the freshly
-// reopened one is promoted.
-func (c *Catalog) ReopenReplica(shard, replica int, open func() (storage.Backend, error)) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.reopenReplicaLocked(shard, replica, open)
-}
-
-func (c *Catalog) reopenReplicaLocked(i, j int, open func() (storage.Backend, error)) error {
-	if i < 0 || i >= c.n || j < 0 || j >= c.r {
-		return fmt.Errorf("shard: no replica %d/%d", i, j)
-	}
-	src := c.leaderLocked(i)
-	old := c.replicas[i][j]
-	// Release the old backend before the fresh one opens: two Durable
-	// instances over one directory would fight over WAL files.
-	old.Close()
-	fail := func(err error) error {
-		err = fmt.Errorf("shard %d replica %d: reopen: %w", i, j, err)
-		c.markDownLocked(i, j, err)
-		return err
-	}
-	nb, err := open()
-	if err != nil {
-		return fail(err)
-	}
-	cc, err := catalog.Open(nb)
-	if err != nil {
-		nb.Close()
-		return fail(err)
-	}
-	c.replicas[i][j] = cc
-	c.down[i][j] = nil
-	c.version++
-	if err := resyncFrom(cc, src, i == 0); err != nil {
-		err = fmt.Errorf("shard %d replica %d: resync: %w", i, j, err)
-		c.markDownLocked(i, j, err)
-		return err
-	}
-	lead := c.primary[i]
-	if c.down[i][lead] != nil || c.replicas[i][lead].Healthy() != nil {
-		c.promoteLocked(i)
-	}
-	return nil
-}
-
-// RollingReopen restarts every replica one at a time — shard by shard,
-// replica by replica — while each one's siblings keep serving. With
-// R > 1 the store never loses a healthy replica set, so /readyz stays
-// ready throughout; reads are never interrupted in any case (the view
-// and bound fragments survive replica swaps).
-func (c *Catalog) RollingReopen(open func(shard, replica int) (storage.Backend, error)) error {
-	var first error
-	for i := 0; i < c.n; i++ {
-		for j := 0; j < c.r; j++ {
-			i, j := i, j
-			if err := c.ReopenReplica(i, j, func() (storage.Backend, error) { return open(i, j) }); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	return first
-}
-
-// Sync flushes every healthy replica's backend.
-func (c *Catalog) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var first error
-	for i := range c.replicas {
-		for j, cc := range c.replicas[i] {
-			if c.down[i][j] != nil {
-				continue
-			}
-			if err := cc.Sync(); err != nil && first == nil {
-				first = fmt.Errorf("shard %d replica %d: %w", i, j, err)
-			}
-		}
-	}
-	return first
-}
-
-// Close releases every replica's backend and the view.
+// Close releases every replica's backend and the gathered copy.
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
 	for i := range c.replicas {
 		for j, cc := range c.replicas[i] {
+			if cc == nil {
+				continue // an open that failed part-way
+			}
 			if err := cc.Close(); err != nil && first == nil {
 				first = fmt.Errorf("shard %d replica %d: %w", i, j, err)
 			}
 		}
 	}
-	if err := c.view.Close(); err != nil && first == nil {
-		first = err
+	if c.view != nil {
+		if err := c.view.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
 	return first
 }
@@ -1311,9 +627,7 @@ func (c *Catalog) ShardStats() []ShardStat {
 		st.Replicas = make([]ReplicaStat, c.r)
 		for j, rc := range c.replicas[i] {
 			rs := ReplicaStat{Replica: j, Primary: j == lead, Storage: rc.StorageStats()}
-			if err := c.down[i][j]; err != nil {
-				rs.Down = err.Error()
-			} else if err := rc.Healthy(); err != nil {
+			if err := c.replicaErrLocked(i, j); err != nil {
 				rs.Down = err.Error()
 			}
 			st.Replicas[j] = rs

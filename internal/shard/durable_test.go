@@ -3,6 +3,7 @@ package shard
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 func openSharded(t *testing.T, dir string, n int) *Catalog {
 	t.Helper()
-	c, err := Open(dir, n, storage.Options{})
+	c, err := OpenReplicated(dir, n, 1, storage.Options{})
 	if err != nil {
 		t.Fatalf("Open(%s, %d): %v", dir, n, err)
 	}
@@ -107,10 +108,10 @@ func TestDurableRecoveryPerShard(t *testing.T) {
 	if got := fragmentEpochs(t, c2, "S"); !equalU64(got, epochsS) {
 		t.Fatalf("S fragment epochs after recovery = %v, want %v", got, epochsS)
 	}
-	if got, ok := c2.PartitionOf("R"); !ok || got.fingerprint() != partR.fingerprint() {
+	if got, ok := c2.PartitionOf("R"); !ok || !reflect.DeepEqual(got, partR) {
 		t.Fatalf("R partition after recovery = %+v, want %+v", got, partR)
 	}
-	if got, ok := c2.PartitionOf("S"); !ok || got.fingerprint() != partS.fingerprint() {
+	if got, ok := c2.PartitionOf("S"); !ok || !reflect.DeepEqual(got, partS) {
 		t.Fatalf("S partition after recovery = %+v, want %+v", got, partS)
 	}
 
@@ -159,7 +160,7 @@ func TestOpenRefusesShardCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{2, 8} {
-		_, err := Open(dir, n, storage.Options{})
+		_, err := OpenReplicated(dir, n, 1, storage.Options{})
 		if err == nil || !strings.Contains(err.Error(), "laid out for 4 shards") {
 			t.Fatalf("Open with %d shards over a 4-shard layout: err = %v, want layout refusal", n, err)
 		}

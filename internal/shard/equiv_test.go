@@ -134,11 +134,11 @@ func ndjson(t *testing.T, vars []string, tuples [][]int) string {
 	return b.String()
 }
 
-// reference executes the query unsharded over the catalog's gathered
-// view with the same options.
+// reference executes the query unsharded over the catalog's whole
+// relations with the same options.
 func reference(t *testing.T, c *Catalog, expr string, opts *minesweeper.Options) *minesweeper.Result {
 	t.Helper()
-	q, err := c.view.Query(expr)
+	q, err := c.Query(expr)
 	if err != nil {
 		t.Fatalf("reference query %q: %v", expr, err)
 	}

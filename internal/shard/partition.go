@@ -16,10 +16,8 @@
 package shard
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"minesweeper/internal/planner"
 )
@@ -82,10 +80,13 @@ func hashRoute(v, shards int) int {
 // planner names the column (leading attribute of the single-atom GAO)
 // and gates range mode; range splits are the column's n-quantiles,
 // deduplicated to a strictly increasing list. When deduplication leaves
-// no usable split the partition falls back to hash.
+// no usable split the partition falls back to hash. One bucket takes
+// every row whatever the column, so a single shard needs no statistics.
 func choosePartition(attrs []string, tuples [][]int, shards int) Partition {
-	arity := len(attrs)
-	st := planner.Collect(tuples, arity)
+	var st *planner.RelStats
+	if shards > 1 {
+		st = planner.Collect(tuples, len(attrs))
+	}
 	pc := planner.ChoosePartition(attrs, st, shards)
 	p := Partition{Column: pc.Col, Attr: pc.Attr, Mode: ModeHash}
 	if pc.Range {
@@ -117,24 +118,16 @@ func quantileSplits(tuples [][]int, col, shards int) []int {
 	return splits
 }
 
-// split routes a tuple batch into per-shard buckets.
+// split routes a tuple batch into per-shard buckets; a single bucket is
+// the batch itself, row headers uncopied.
 func (p Partition) split(tuples [][]int, shards int) [][][]int {
+	if shards <= 1 {
+		return [][][]int{tuples}
+	}
 	buckets := make([][][]int, shards)
 	for _, tup := range tuples {
 		s := p.Route(tup[p.Column], shards)
 		buckets[s] = append(buckets[s], tup)
 	}
 	return buckets
-}
-
-// fingerprint is the routing-equivalence key: two partitions with equal
-// fingerprints route every value identically, so a prepared scatter
-// plan stays valid across mutations that re-chose an equal partition.
-func (p Partition) fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d:%s", p.Column, p.Mode)
-	for _, s := range p.Splits {
-		fmt.Fprintf(&b, ",%d", s)
-	}
-	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	minesweeper "minesweeper"
@@ -22,27 +23,29 @@ const scatterBuf = 64
 // backend never fails the read itself — the substream has to ask.
 const healthCheckEvery = 32
 
-// Prepared is the sharded counterpart of minesweeper.PreparedQuery: it
-// holds the full (gathered) prepared query — which serves planning,
-// Explain and the fallback path — plus, when the plan can scatter, one
-// per-shard prepared query with the query's sliced atom rebound to that
-// shard's serving-replica fragment. Execution fans the per-shard raw
-// streams out, merges them with a loser tree into GAO-lex order, and
-// applies the shaping (projection, bounds, distinct, aggregates, limit)
-// once on the gathered side, so the emitted stream is byte-identical to
-// an unsharded run.
+// Prepared is the catalog's counterpart of minesweeper.PreparedQuery: it
+// holds the full prepared query over whole relations — which serves
+// planning, Explain and every run that does not scatter — plus, when
+// the plan can scatter, one per-shard prepared query with the query's
+// sliced atom rebound to that shard's serving-replica fragment.
+// Execution fans the per-shard raw streams out, merges them with a
+// loser tree into GAO-lex order, and applies the shaping (projection,
+// bounds, distinct, aggregates, limit) once on the gathered side, so
+// the emitted stream is byte-identical to an unsharded run.
 type Prepared struct {
 	cat  *Catalog
-	q    *minesweeper.Query
 	opts minesweeper.Options
-	full *minesweeper.PreparedQuery
 
+	// cur is replaced, never modified, when Refresh re-plans; a run
+	// keeps the plan it pinned.
 	mu  sync.Mutex
 	cur *scatterPlan
 }
 
-// scatterPlan pins one scatter decision: the GAO it was made for, the
-// routing-table revision it saw, and — when scattering — the per-shard
+// scatterPlan pins one plan: the query as bound to the whole relations'
+// current objects with its full prepared query, the GAO the scatter
+// decision was made for, the catalog version it saw, and — when
+// scattering — the per-shard
 // prepared queries (all forced to the same GAO under the
 // order-preserving natural domain, so their raw streams merge by plain
 // tuple comparison), plus everything a mid-run substream retry needs
@@ -50,6 +53,8 @@ type Prepared struct {
 // plan-time fragment epochs, and which replica each shard's substream
 // was bound to.
 type scatterPlan struct {
+	q          *minesweeper.Query
+	full       *minesweeper.PreparedQuery
 	gao        []string
 	version    uint64
 	partitions []string
@@ -78,18 +83,16 @@ func (e *substreamError) Error() string {
 
 func (e *substreamError) Unwrap() error { return e.cause }
 
-// Prepare plans a query for sharded execution. The query must have been
-// built against this catalog's relations (Catalog.Query). Options carry
-// through to every per-shard prepare, except that the GAO is pinned to
-// the full plan's choice and the domain to the order-preserving natural
-// encoding — a frequency-permuted domain would give each shard its own
-// code order and break the merge.
+// Prepare plans a query for execution over the catalog. The query must
+// have been built against this catalog's relations (Catalog.Query); one
+// parsed before a leadership move is bound to the relations' current
+// objects first. Options carry through to every per-shard prepare,
+// except that the GAO is pinned to the full plan's choice and the
+// domain to the order-preserving natural encoding — a
+// frequency-permuted domain would give each shard its own code order
+// and break the merge.
 func (c *Catalog) Prepare(q *minesweeper.Query, opts *minesweeper.Options) (*Prepared, error) {
-	full, err := q.Prepare(opts)
-	if err != nil {
-		return nil, err
-	}
-	p := &Prepared{cat: c, q: q, full: full}
+	p := &Prepared{cat: c, cur: &scatterPlan{q: q}}
 	if opts != nil {
 		p.opts = *opts
 	}
@@ -99,22 +102,34 @@ func (c *Catalog) Prepare(q *minesweeper.Query, opts *minesweeper.Options) (*Pre
 	return p, nil
 }
 
-// Refresh re-plans the full query if its relations mutated, then
-// rebuilds the scatter plan when the GAO or the routing table moved
-// (markDownLocked bumps the same version, so plans re-bind off dead
-// replicas too).
+// Refresh brings the plan up to date. When the catalog's version moved
+// (partitions, replica set, leadership) the query is first rebound to
+// the current whole relations — a leadership move at one shard changes
+// which *Relation a name is, and only atoms bound to a superseded
+// object of the same relation follow it — and the full query prepared
+// again if anything was rebound. Then the full query re-plans if its
+// relations mutated, and the scatter plan is rebuilt when the GAO or
+// the version moved (markDownLocked bumps the same version, so plans
+// re-bind off dead replicas too).
 func (p *Prepared) Refresh() error {
-	if err := p.full.Refresh(); err != nil {
-		return err
-	}
-	gao := p.full.GAO()
-	version := p.cat.partsVersion()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.cur != nil && p.cur.version == version && sameStrings(p.cur.gao, gao) {
+	q, version := p.cat.rebound(p.cur.q, p.cur.version)
+	full := p.cur.full
+	if q != p.cur.q || full == nil {
+		var err error
+		if full, err = q.Prepare(&p.opts); err != nil {
+			return err
+		}
+	}
+	if err := full.Refresh(); err != nil {
+		return err
+	}
+	gao := full.GAO()
+	if full == p.cur.full && p.cur.version == version && slices.Equal(p.cur.gao, gao) {
 		return nil
 	}
-	cur, err := p.buildPlan(gao, version)
+	cur, err := p.buildPlan(q, full, gao, version)
 	if err != nil {
 		return err
 	}
@@ -124,27 +139,28 @@ func (p *Prepared) Refresh() error {
 
 // buildPlan decides whether the query scatters and builds the per-shard
 // prepared queries when it does. Scatter requires a sliceable atom: one
-// bound to a partitioned view relation whose partition column carries
+// bound to a partitioned whole relation whose partition column carries
 // the leading GAO attribute — then each shard's substream enumerates a
 // restriction of the outermost domain and per-assignment work is done
 // once across the shard set. With several candidates the largest
 // relation wins (slicing it buys the most). Without one — or under a
 // frequency-permuted domain, with one shard, or with a shard that has
-// no healthy replica — execution runs gathered over the whole view.
-func (p *Prepared) buildPlan(gao []string, version uint64) (*scatterPlan, error) {
-	plan := &scatterPlan{gao: gao, version: version}
+// no healthy replica — execution runs the full plan over the whole
+// relations.
+func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQuery, gao []string, version uint64) (*scatterPlan, error) {
+	plan := &scatterPlan{q: q, full: full, gao: gao, version: version}
 	if p.cat.n <= 1 {
-		return plan, nil
+		return plan, nil // a gather of one fragment is that fragment: the full plan runs it
 	}
 	plan.partitions = []string{"gathered"}
 	if p.opts.Domain == minesweeper.DomainFreq || len(gao) == 0 {
 		return plan, nil
 	}
-	atoms := p.q.Atoms()
+	atoms := q.Atoms()
 	p.cat.mu.Lock()
 	slice, part := -1, Partition{}
 	for i, a := range atoms {
-		rel, ok := p.cat.view.Get(a.Rel.Name())
+		rel, ok := p.cat.wholeLocked().Get(a.Rel.Name())
 		if !ok || minesweeper.Fragment(rel) != a.Rel {
 			continue // not this catalog's relation (or a stale binding)
 		}
@@ -169,13 +185,13 @@ func (p *Prepared) buildPlan(gao []string, version uint64) (*scatterPlan, error)
 		rep := -1
 		for jj := 0; jj < p.cat.r; jj++ {
 			j := (p.cat.primary[s] + jj) % p.cat.r
-			if p.cat.down[s][j] == nil && p.cat.replicas[s][j].Healthy() == nil {
+			if p.cat.replicaErrLocked(s, j) == nil {
 				rep = j
 				break
 			}
 		}
 		if rep < 0 {
-			ok = false // fully dead shard: the view still serves reads
+			ok = false // fully dead shard: the gathered copy still serves reads
 			break
 		}
 		frag, have := p.cat.replicas[s][rep].Get(name)
@@ -191,7 +207,7 @@ func (p *Prepared) buildPlan(gao []string, version uint64) (*scatterPlan, error)
 	}
 	shards := make([]*minesweeper.PreparedQuery, p.cat.n)
 	for s := range shards {
-		pq, err := p.prepareSubstream(gao, slice, frags[s], nil)
+		pq, err := p.prepareSubstream(q, gao, slice, frags[s], nil)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
@@ -210,8 +226,8 @@ func (p *Prepared) buildPlan(gao []string, version uint64) (*scatterPlan, error)
 // as an inclusive lower bound on the leading GAO variable — the PR 4
 // bounds machinery — so the replacement substream seeks straight to
 // the failure frontier instead of rescanning the fragment.
-func (p *Prepared) prepareSubstream(gao []string, slice int, frag minesweeper.Fragment, resume []int) (*minesweeper.PreparedQuery, error) {
-	qs := p.q.CloneWithRelations(func(i int, f minesweeper.Fragment) minesweeper.Fragment {
+func (p *Prepared) prepareSubstream(q *minesweeper.Query, gao []string, slice int, frag minesweeper.Fragment, resume []int) (*minesweeper.PreparedQuery, error) {
+	qs := q.CloneWithRelations(func(i int, f minesweeper.Fragment) minesweeper.Fragment {
 		if i == slice {
 			return frag
 		}
@@ -226,7 +242,7 @@ func (p *Prepared) prepareSubstream(gao []string, slice int, frag minesweeper.Fr
 		// silently drop the query's textual filters.
 		eff := o.Where
 		if eff == nil {
-			eff = p.q.Where()
+			eff = q.Where()
 		}
 		where := make([]minesweeper.Filter, 0, len(eff)+1)
 		where = append(where, eff...)
@@ -252,7 +268,7 @@ func (p *Prepared) retrySubstream(cur *scatterPlan, s int, tried map[int]bool, r
 	p.cat.mu.Lock()
 	var cands []cand
 	for j := 0; j < p.cat.r; j++ {
-		if tried[j] || p.cat.down[s][j] != nil || p.cat.replicas[s][j].Healthy() != nil {
+		if tried[j] || p.cat.replicaErrLocked(s, j) != nil {
 			continue
 		}
 		frag, ok := p.cat.replicas[s][j].Get(cur.name)
@@ -263,7 +279,7 @@ func (p *Prepared) retrySubstream(cur *scatterPlan, s int, tried map[int]bool, r
 	}
 	p.cat.mu.Unlock()
 	for _, cd := range cands {
-		pq, err := p.prepareSubstream(cur.gao, cur.slice, cd.frag, resume)
+		pq, err := p.prepareSubstream(cur.q, cur.gao, cur.slice, cd.frag, resume)
 		if err == nil {
 			tried[cd.rep] = true
 			return cd.rep, pq, nil
@@ -272,23 +288,29 @@ func (p *Prepared) retrySubstream(cur *scatterPlan, s int, tried map[int]bool, r
 	return -1, nil, fmt.Errorf("shard %d: no replica can resume the substream", s)
 }
 
+// pinned returns the current plan.
+func (p *Prepared) pinned() *scatterPlan {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.cur
+}
+
 // OutputVars returns the emitted column names (same as unsharded).
-func (p *Prepared) OutputVars() []string { return p.full.OutputVars() }
+func (p *Prepared) OutputVars() []string { return p.pinned().full.OutputVars() }
 
 // Engine returns the resolved engine.
-func (p *Prepared) Engine() minesweeper.Engine { return p.full.Engine() }
+func (p *Prepared) Engine() minesweeper.Engine { return p.pinned().full.Engine() }
 
-// GAO returns the resolved global attribute order.
-func (p *Prepared) GAO() []string { return p.full.GAO() }
+// Relations returns the relation objects the plan is bound to. After a
+// Refresh they are the catalog's current ones unless a relation was
+// dropped (or dropped and re-created) since the query was built.
+func (p *Prepared) Relations() []minesweeper.Fragment { return p.pinned().q.Relations() }
 
 // Explain returns the full plan annotated with the scatter decision.
 func (p *Prepared) Explain() minesweeper.Explain {
-	ex := p.full.Explain()
-	p.mu.Lock()
-	if p.cur != nil {
-		ex.Partitions = append([]string(nil), p.cur.partitions...)
-	}
-	p.mu.Unlock()
+	cur := p.pinned()
+	ex := cur.full.Explain()
+	ex.Partitions = append([]string(nil), cur.partitions...)
 	return ex
 }
 
@@ -308,16 +330,14 @@ func (p *Prepared) Execute() (*minesweeper.Result, error) {
 
 // StreamContextExplained re-plans if needed, reports the plan, and
 // streams the shaped result: scattered across the shard set when the
-// plan allows, gathered over the view otherwise. Cancellation,
-// emit-false early stop and error-truncated prefixes behave exactly as
-// in the unsharded stream.
+// plan allows, through the full plan over whole relations otherwise.
+// Cancellation, emit-false early stop and error-truncated prefixes
+// behave exactly as in the unsharded stream.
 func (p *Prepared) StreamContextExplained(ctx context.Context, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error) {
 	if err := p.Refresh(); err != nil {
 		return minesweeper.Stats{}, err
 	}
-	p.mu.Lock()
-	cur := p.cur
-	p.mu.Unlock()
+	cur := p.pinned()
 	if cur.shards == nil {
 		wrapped := plan
 		if plan != nil && len(cur.partitions) > 0 {
@@ -326,7 +346,7 @@ func (p *Prepared) StreamContextExplained(ctx context.Context, plan func(mineswe
 				plan(ex)
 			}
 		}
-		return p.full.StreamContextExplained(ctx, wrapped, yield)
+		return cur.full.StreamContextExplained(ctx, wrapped, yield)
 	}
 	return p.gather(ctx, cur, plan, yield)
 }
@@ -355,11 +375,11 @@ type sub struct {
 // where it stopped and stays byte-identical through the failure. Only
 // when no replica can resume does the run truncate with an error.
 func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error) {
-	_, sh, err := p.q.ShapePlan(cur.gao, &p.opts)
+	_, sh, err := cur.q.ShapePlan(cur.gao, &p.opts)
 	if err != nil {
 		return minesweeper.Stats{}, err
 	}
-	ex := p.full.Explain()
+	ex := cur.full.Explain()
 	ex.Partitions = append([]string(nil), cur.partitions...)
 	if plan != nil {
 		plan(ex)
@@ -627,16 +647,4 @@ func (lt *loserTree) pop(refill func(s int) []int) []int {
 	}
 	lt.tree[0] = s
 	return t
-}
-
-func sameStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -18,7 +18,7 @@ import (
 // one replica's backend is wrapped in the fault-injection layer.
 func openFaultyReplica(t *testing.T, dir string, shards, replicas, fShard, fRep int, script string) *Catalog {
 	t.Helper()
-	c, err := OpenWith(dir, shards, replicas, storage.Options{}, func(i, j int) (storage.Backend, error) {
+	c, err := OpenWith(dir, shards, replicas, func(i, j int) (storage.Backend, error) {
 		d, err := storage.OpenDurable(ReplicaDir(dir, i, j), storage.Options{})
 		if err != nil {
 			return nil, err
@@ -141,7 +141,7 @@ func TestPrimaryFailover(t *testing.T) {
 // catalog finally degrades — failover is not an infinite retry loop.
 func TestFailoverExhaustion(t *testing.T) {
 	dir := t.TempDir()
-	c, err := OpenWith(dir, 1, 2, storage.Options{}, func(i, j int) (storage.Backend, error) {
+	c, err := OpenWith(dir, 1, 2, func(i, j int) (storage.Backend, error) {
 		d, err := storage.OpenDurable(ReplicaDir(dir, i, j), storage.Options{})
 		if err != nil {
 			return nil, err
