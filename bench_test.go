@@ -11,6 +11,7 @@
 package minesweeper
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -185,20 +186,6 @@ func BenchmarkExecuteMinesweeperTwoPath(b *testing.B) {
 	}
 }
 
-func BenchmarkTriangleParallel(b *testing.B) {
-	g := dataset.PowerLawGraph(600, 8, true, 5)
-	r, _, _ := dataset.TriangleGraph(g)
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.TriangleParallel(r, r, r, workers, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkExecuteLimitAnytime(b *testing.B) {
 	g := dataset.PowerLawGraph(3000, 8, false, 12)
 	e, err := NewRelation("E", 2, g.Edges)
@@ -289,7 +276,7 @@ func BenchmarkPreparedVsCold(b *testing.B) {
 				b.Fatal(err)
 			}
 			n := 0
-			if err := core.MinesweeperStream(p, nil, func([]int) bool {
+			if err := core.MinesweeperStreamContext(context.Background(), p, nil, func([]int) bool {
 				n++
 				return n < 10
 			}); err != nil {

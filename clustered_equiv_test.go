@@ -79,7 +79,7 @@ func TestClusteredEngineEquivalence(t *testing.T) {
 			for _, dict := range []DictMode{DictAuto, DictOff, DictOn} {
 				for _, eng := range allEngines {
 					for _, workers := range []int{1, 4} {
-						if workers > 1 && eng != EngineMinesweeper {
+						if workers > 1 && eng != EngineMinesweeper && eng != EngineLeapfrog {
 							continue
 						}
 						variants = append(variants, variant{dict, eng, workers})

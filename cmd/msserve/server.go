@@ -202,11 +202,10 @@ func (rq *registeredQuery) liveExplain() (minesweeper.Explain, error) {
 // variant returns the prepared query for the given engine/workers
 // combination, preparing and caching it on first use. Workers are
 // clamped to GOMAXPROCS on every path — beyond that parallelism buys
-// nothing, and the clamp bounds this client-keyed cache.
+// nothing, and the clamp bounds this client-keyed cache — and every
+// W ≤ 1 is the one sequential variant.
 func (rq *registeredQuery) variant(eng minesweeper.Engine, workers int) (*shard.Prepared, error) {
-	if max := runtime.GOMAXPROCS(0); workers > max {
-		workers = max
-	}
+	workers = min(max(workers, 1), runtime.GOMAXPROCS(0))
 	key := fmt.Sprintf("%s/%d", eng, workers)
 	rq.mu.Lock()
 	defer rq.mu.Unlock()
@@ -920,9 +919,10 @@ func (s *server) handleAdhocQuery(w http.ResponseWriter, r *http.Request) {
 //
 // The engine executes behind a recover boundary: a panicking query
 // becomes a 500 (or a terminal error record mid-stream) and a /stats
-// counter bump, never a dead process. The parallel drivers recover
-// their worker goroutines into errors themselves, so this boundary
-// completes the isolation for every engine path.
+// counter bump, never a dead process. The goroutines a run starts —
+// range morsels (Workers) and shard substreams — recover their panics
+// into errors themselves, so this boundary completes the isolation for
+// every engine path.
 func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registeredQuery, params runParams) {
 	release, err := s.runGate.acquire(r.Context())
 	if err != nil {

@@ -601,3 +601,61 @@ func testListQueriesExplainTracksMutations(t *testing.T, stc storeConfig) {
 		}
 	}
 }
+
+// TestSequentialWorkersShareOneVariant: every workers value ≤ 1 is the
+// one sequential run, so ?workers=0 and ?workers=1 prepare and cache a
+// single variant between them (each variant holds its own plan, and
+// with dictionaries its own encoded trees).
+func TestSequentialWorkersShareOneVariant(t *testing.T) {
+	s := newTestServer(t, storeConfig{"memory", 1, 1})
+	for _, w := range []string{"0", "1"} {
+		wantStatus(t, do(t, s, "GET", "/queries/rs/run?workers="+w, ""), http.StatusOK)
+	}
+	s.mu.Lock()
+	rq := s.queries["rs"]
+	s.mu.Unlock()
+	rq.mu.Lock()
+	defer rq.mu.Unlock()
+	if len(rq.prepared) != 1 {
+		keys := make([]string, 0, len(rq.prepared))
+		for k := range rq.prepared {
+			keys = append(keys, k)
+		}
+		t.Fatalf("cached variants = %v, want one sequential variant", keys)
+	}
+}
+
+// TestParallelLimitOverHTTP: a limited run with workers stays anytime —
+// ?workers=2&limit=1 returns one tuple, and its footer reports under
+// half the probes of the unlimited run.
+func TestParallelLimitOverHTTP(t *testing.T) {
+	s := newServer(newTestCatalog(t, storeConfig{"memory", 1, 1}))
+	var r, sb strings.Builder
+	r.WriteString("R: A B\n")
+	sb.WriteString("S: B C\n")
+	for b := 0; b < 1000; b++ {
+		for i := 0; i < 4; i++ {
+			fmt.Fprintf(&r, "%d %d\n", (b*7919+i*104729)%100003, b)
+			fmt.Fprintf(&sb, "%d %d\n", b, (b*6151+i*7907)%100019)
+		}
+	}
+	wantStatus(t, do(t, s, "POST", "/relations", r.String()), http.StatusOK)
+	wantStatus(t, do(t, s, "POST", "/relations", sb.String()), http.StatusOK)
+	wantStatus(t, do(t, s, "POST", "/queries",
+		`{"name":"rs","query":"R(A,B), S(B,C)","gao":["B","A","C"]}`), http.StatusOK)
+	run := func(params string) (int, float64) {
+		rec := do(t, s, "GET", "/queries/rs/run?"+params, "")
+		wantStatus(t, rec, http.StatusOK)
+		res := parseRun(t, rec.Body)
+		st, _ := res.footer["stats"].(map[string]any)
+		probes, _ := st["ProbePoints"].(float64)
+		return len(res.tuples), probes
+	}
+	n, all := run("workers=2")
+	if n != 16000 || all == 0 {
+		t.Fatalf("unlimited run: %d tuples, %v probes", n, all)
+	}
+	if n, one := run("workers=2&limit=1"); n != 1 || 2*one >= all {
+		t.Fatalf("workers=2&limit=1: %d tuples, %v probes of the unlimited run's %v, want 1 and under half", n, one, all)
+	}
+}

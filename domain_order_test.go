@@ -160,7 +160,7 @@ func TestFreqDomainEquivalence(t *testing.T) {
 	var ref *Result
 	for _, eng := range allEngines {
 		for _, workers := range []int{1, 4} {
-			if workers > 1 && eng != EngineMinesweeper {
+			if workers > 1 && eng != EngineMinesweeper && eng != EngineLeapfrog {
 				continue
 			}
 			res, err := Execute(q, &Options{Engine: eng, Workers: workers, Domain: DomainFreq})

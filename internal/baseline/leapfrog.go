@@ -96,15 +96,6 @@ func (it *trieIter) up() {
 	it.end = it.end[:len(it.end)-1]
 }
 
-// Leapfrog evaluates the join with the Leapfrog Triejoin algorithm [53],
-// calling emit for every output tuple.
-func Leapfrog(p *core.Problem, stats *certificate.Stats, emit func([]int)) error {
-	return LeapfrogStream(context.Background(), p, stats, func(t []int) bool {
-		emit(t)
-		return true
-	})
-}
-
 // LeapfrogStream evaluates the join with the Leapfrog Triejoin algorithm
 // [53]: a backtracking search over the GAO where, at each attribute, the
 // iterators of all atoms containing that attribute are intersected with
@@ -214,6 +205,9 @@ func LeapfrogStream(ctx context.Context, p *core.Problem, stats *certificate.Sta
 // LeapfrogAll runs Leapfrog and collects the outputs.
 func LeapfrogAll(p *core.Problem, stats *certificate.Stats) ([][]int, error) {
 	var out [][]int
-	err := Leapfrog(p, stats, func(t []int) { out = append(out, t) })
+	err := LeapfrogStream(context.Background(), p, stats, func(t []int) bool {
+		out = append(out, t)
+		return true
+	})
 	return out, err
 }

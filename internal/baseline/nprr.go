@@ -30,15 +30,6 @@ func buildHashTrie(tuples [][]int) *hashTrie {
 	return root
 }
 
-// NPRR evaluates the join with the generic worst-case-optimal join,
-// calling emit for every output tuple.
-func NPRR(p *core.Problem, stats *certificate.Stats, emit func([]int)) error {
-	return NPRRStream(context.Background(), p, stats, func(t []int) bool {
-		emit(t)
-		return true
-	})
-}
-
 // NPRRStream evaluates the join with an attribute-at-a-time generic join
 // in the style of Ngo–Porat–Ré–Rudra [40]: at each GAO attribute, the
 // candidate set is the distinct values of the participating atom with the
@@ -142,6 +133,9 @@ func NPRRStream(ctx context.Context, p *core.Problem, stats *certificate.Stats, 
 // visits candidates in value order).
 func NPRRAll(p *core.Problem, stats *certificate.Stats) ([][]int, error) {
 	var out [][]int
-	err := NPRR(p, stats, func(t []int) { out = append(out, t) })
+	err := NPRRStream(context.Background(), p, stats, func(t []int) bool {
+		out = append(out, t)
+		return true
+	})
 	return out, err
 }

@@ -275,7 +275,7 @@ func LeftDeepHashJoinStream(ctx context.Context, gao []string, atoms []core.Atom
 		return err
 	}
 	SortTuples(final.tuples)
-	return emitSorted(ctx, final.tuples, stats, emit)
+	return core.EmitSorted(ctx, final.tuples, stats, emit)
 }
 
 // SortTuples sorts tuples lexicographically in place (canonical output

@@ -1,11 +1,6 @@
 package baseline
 
-import (
-	"context"
-	"errors"
-
-	"minesweeper/internal/certificate"
-)
+import "errors"
 
 // errStop is the internal sentinel used to unwind a backtracking search
 // when the emit callback asks for early termination. It never escapes
@@ -18,25 +13,4 @@ func sweep(err error) error {
 		return nil
 	}
 	return err
-}
-
-// emitSorted streams an already-sorted materialized result through emit,
-// counting outputs and honoring cancellation. It is the adapter that
-// gives the materializing engines (Yannakakis, the pairwise hash plans)
-// the same limit/cancellation surface as the streaming ones: early
-// termination saves the emission, not the evaluation, which is exactly
-// the anytime behaviour a materializing plan lacks (Section 1).
-func emitSorted(ctx context.Context, tuples [][]int, stats *certificate.Stats, emit func([]int) bool) error {
-	for _, t := range tuples {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if stats != nil {
-			stats.Outputs++
-		}
-		if !emit(t) {
-			return nil
-		}
-	}
-	return nil
 }

@@ -56,7 +56,7 @@ func YannakakisStream(ctx context.Context, gao []string, atoms []core.AtomSpec, 
 			return err
 		}
 		SortTuples(final.tuples)
-		return emitSorted(ctx, final.tuples, stats, emit)
+		return core.EmitSorted(ctx, final.tuples, stats, emit)
 	}
 	// Children lists and a bottom-up order (children before parents).
 	children := make([][]int, len(atoms))
@@ -101,7 +101,7 @@ func YannakakisStream(ctx context.Context, gao []string, atoms []core.AtomSpec, 
 		return err
 	}
 	SortTuples(final.tuples)
-	return emitSorted(ctx, final.tuples, stats, emit)
+	return core.EmitSorted(ctx, final.tuples, stats, emit)
 }
 
 func postOrder(root int, children [][]int) []int {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestDictJoinEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got [][]int
-	err = MinesweeperStream(pEnc, nil, func(tup []int) bool {
+	err = MinesweeperStreamContext(context.Background(), pEnc, nil, func(tup []int) bool {
 		ds.DecodeInPlace(tup)
 		got = append(got, tup)
 		return true

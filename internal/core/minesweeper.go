@@ -11,32 +11,6 @@ import (
 	"minesweeper/internal/ordered"
 )
 
-// Minesweeper evaluates the join with Algorithm 2 of the paper, calling
-// emit for every output tuple (in GAO order). The stats receiver may be
-// nil. Probe points come from the ConstraintTree CDS, whose chain-based
-// getProbePoint is near-optimal for β-acyclic GAOs (Theorem 2.7) and
-// falls back to the shadow-chain walk for general GAOs (Theorem 5.1).
-func Minesweeper(p *Problem, stats *certificate.Stats, emit func([]int)) error {
-	return MinesweeperStream(p, stats, func(t []int) bool {
-		emit(t)
-		return true
-	})
-}
-
-// MinesweeperStream is Minesweeper with early termination: emit returns
-// false to stop the evaluation after the current tuple. Because
-// Minesweeper discovers outputs one probe point at a time (it never
-// builds intermediate results), stopping after k tuples costs only the
-// work for those k probes plus the constraints learned so far — the
-// anytime behaviour that worst-case-optimal algorithms lack.
-//
-// Probe points arrive in increasing lexicographic order (GetProbePoint
-// always returns the smallest active point and the ruled-out region only
-// grows), so output tuples stream in GAO-lexicographic order.
-func MinesweeperStream(p *Problem, stats *certificate.Stats, emit func([]int) bool) error {
-	return MinesweeperStreamContext(context.Background(), p, stats, emit)
-}
-
 // tupleBlockSize is how many output tuples share one flat backing array.
 // Emitted tuples are retainable by the receiver — each is a distinct
 // carve of a block that is never reused — but cost one allocation per
@@ -58,9 +32,22 @@ func (a *tupleArena) copy(t []int) []int {
 	return a.buf[start:len(a.buf):len(a.buf)]
 }
 
-// MinesweeperStreamContext is MinesweeperStream with cooperative
-// cancellation: the context is checked once per probe point (the outer
-// loop of Algorithm 2), and evaluation stops with ctx.Err() when it is
+// MinesweeperStreamContext evaluates the join with Algorithm 2 of the
+// paper, calling emit for every output tuple; emit returns false to stop
+// after the current tuple. The stats receiver may be nil. Probe points
+// come from the ConstraintTree CDS, whose chain-based getProbePoint is
+// near-optimal for β-acyclic GAOs (Theorem 2.7) and falls back to the
+// shadow-chain walk for general GAOs (Theorem 5.1).
+//
+// Because Minesweeper discovers outputs one probe point at a time (it
+// never builds intermediate results), stopping after k tuples costs only
+// the work for those k probes plus the constraints learned so far — the
+// anytime behaviour that worst-case-optimal algorithms lack. Probe
+// points arrive in increasing lexicographic order (GetProbePoint always
+// returns the smallest active point and the ruled-out region only
+// grows), so output tuples stream in GAO-lexicographic order. The
+// context is checked once per probe point (the outer loop of
+// Algorithm 2), and evaluation stops with ctx.Err() when it is
 // cancelled or its deadline passes.
 //
 // Emitted tuples are owned by the receiver (they are never reused), and
@@ -502,6 +489,9 @@ func tryWidenBox(a *Atom, sc *atomScratch, p int, loVal, hiVal, scan int, prefix
 // MinesweeperAll runs Minesweeper and collects the output tuples.
 func MinesweeperAll(p *Problem, stats *certificate.Stats) ([][]int, error) {
 	var out [][]int
-	err := Minesweeper(p, stats, func(t []int) { out = append(out, t) })
+	err := MinesweeperStreamContext(context.Background(), p, stats, func(t []int) bool {
+		out = append(out, t)
+		return true
+	})
 	return out, err
 }

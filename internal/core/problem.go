@@ -7,6 +7,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -302,4 +303,26 @@ func (p *Problem) InputSize() int {
 		n += a.Tree.Size()
 	}
 	return n
+}
+
+// EmitSorted streams an already-sorted materialized result through emit,
+// counting outputs into stats (may be nil) and honoring cancellation. It
+// is the adapter that gives the materializing engines (Yannakakis, the
+// pairwise hash plans, the dyadic triangle) the same limit/cancellation
+// surface as the streaming ones: early termination saves the emission,
+// not the evaluation, which is exactly the anytime behaviour a
+// materializing plan lacks (Section 1).
+func EmitSorted(ctx context.Context, tuples [][]int, stats *certificate.Stats, emit func([]int) bool) error {
+	for _, t := range tuples {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if stats != nil {
+			stats.Outputs++
+		}
+		if !emit(t) {
+			return nil
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -445,7 +446,7 @@ func TestMinesweeperStreamEarlyStop(t *testing.T) {
 	})
 	var got [][]int
 	var stats certificate.Stats
-	err := MinesweeperStream(p, &stats, func(t []int) bool {
+	err := MinesweeperStreamContext(context.Background(), p, &stats, func(t []int) bool {
 		got = append(got, t)
 		return len(got) < 3
 	})

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"slices"
 
 	"minesweeper/internal/certificate"
 	"minesweeper/internal/ordered"
@@ -165,27 +167,38 @@ func (c *triangleCDS) getProbePoint() (a, b, cv int, ok bool) {
 // Õ(|C|^{3/2} + Z) instead of the Õ(|C|²+Z) of the generic CDS.
 // r, s, t are lists of pairs. Outputs (a,b,c) triples.
 func Triangle(r, s, t [][]int, stats *certificate.Stats) ([][]int, error) {
-	rT, sT, tT, err := TriangleIndexes(r, s, t)
+	p, err := TriangleProblem(r, s, t)
 	if err != nil {
 		return nil, err
 	}
-	return TriangleIndexed(rT, sT, tT, stats)
+	return TriangleIndexed(p.Atoms[0].Tree, p.Atoms[1].Tree, p.Atoms[2].Tree, stats)
 }
 
-// TriangleIndexes builds the three search trees of the triangle query
-// once; TriangleIndexed (and the range-parallel driver, via SliceTop
-// views) can then run against them repeatedly without re-sorting.
-func TriangleIndexes(r, s, t [][]int) (rT, sT, tT *reltree.Tree, err error) {
-	if rT, err = reltree.New("R", 2, r); err != nil {
-		return nil, nil, nil, err
+// TriangleProblem indexes R(A,B), S(B,C), T(A,C) under the GAO (A,B,C)
+// once — the pairs are already in column order, so no permuting copy —
+// for TriangleRun to evaluate whole or by range morsels.
+func TriangleProblem(r, s, t [][]int) (*Problem, error) {
+	atoms := []Atom{{Name: "R", Positions: []int{0, 1}}, {Name: "S", Positions: []int{1, 2}}, {Name: "T", Positions: []int{0, 2}}}
+	for i, tuples := range [][][]int{r, s, t} {
+		tree, err := reltree.New(atoms[i].Name, 2, tuples)
+		if err != nil {
+			return nil, err
+		}
+		atoms[i].Tree = tree
 	}
-	if sT, err = reltree.New("S", 2, s); err != nil {
-		return nil, nil, nil, err
+	return NewProblemFromAtoms([]string{"A", "B", "C"}, atoms)
+}
+
+// TriangleRun is TriangleIndexed as an engine run function over a
+// TriangleProblem: the dyadic CDS materializes its triangles, so they
+// are sorted into GAO-lex order, then emitted.
+func TriangleRun(ctx context.Context, p *Problem, stats *certificate.Stats, emit func([]int) bool) error {
+	out, err := TriangleIndexed(p.Atoms[0].Tree, p.Atoms[1].Tree, p.Atoms[2].Tree, stats)
+	if err != nil {
+		return err
 	}
-	if tT, err = reltree.New("T", 2, t); err != nil {
-		return nil, nil, nil, err
-	}
-	return rT, sT, tT, nil
+	slices.SortFunc(out, slices.Compare)
+	return EmitSorted(ctx, out, nil, emit) // TriangleIndexed counted the outputs
 }
 
 // maxSecond returns the largest second-attribute value of an arity-2
@@ -206,7 +219,7 @@ func maxSecond(t *reltree.Tree) int {
 // TriangleIndexed runs the dyadic-CDS triangle engine over prebuilt
 // indexes. The trees' stats receivers are set for the duration of the
 // run, so callers sharing trees across goroutines must hand each run its
-// own Clone/SliceTop views.
+// own views (Problem.Snapshot, reltree.SliceTop).
 func TriangleIndexed(rT, sT, tT *reltree.Tree, stats *certificate.Stats) ([][]int, error) {
 	rT.SetStats(stats)
 	sT.SetStats(stats)

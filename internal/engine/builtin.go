@@ -8,42 +8,36 @@ import (
 	"minesweeper/internal/core"
 )
 
-// The five built-in engines. Minesweeper, Leapfrog and NPRR consume the
-// search-tree indexes directly; Yannakakis and the hash plan work on
-// tuple lists reconstructed from the indexes via Problem.Specs (they are
-// Ω(N) per run regardless, so the materialization does not change their
-// asymptotics).
+// The five built-in engines. Minesweeper and Leapfrog walk the
+// search-tree indexes directly, so they are IndexOnly. NPRR builds hash
+// tries from the indexes' tuples on every run; Yannakakis and the hash
+// plan work on tuple lists reconstructed from the indexes via
+// Problem.Specs (they are Ω(N) per run regardless, so the
+// materialization does not change their asymptotics, and only their
+// emission streams).
 func init() {
 	Register(Engine{
-		Name:        "minesweeper",
-		Streaming:   true,
-		Description: "certificate-optimal probe-driven join (Algorithm 2), Õ(|C|^{w+1}+Z)",
-		Run:         core.MinesweeperStreamContext,
+		Name:      "minesweeper",
+		IndexOnly: true,
+		Run:       core.MinesweeperStreamContext,
 	})
 	Register(Engine{
-		Name:        "leapfrog",
-		Streaming:   true,
-		Description: "Leapfrog Triejoin, worst-case optimal backtracking search",
-		Run:         baseline.LeapfrogStream,
+		Name:      "leapfrog",
+		IndexOnly: true,
+		Run:       baseline.LeapfrogStream,
 	})
 	Register(Engine{
-		Name:        "nprr",
-		Streaming:   true,
-		Description: "NPRR-style generic join, worst-case optimal hash probing",
-		Run:         baseline.NPRRStream,
+		Name: "nprr",
+		Run:  baseline.NPRRStream,
 	})
 	Register(Engine{
-		Name:        "yannakakis",
-		Streaming:   false,
-		Description: "Yannakakis semijoin reduction for α-acyclic queries, Õ(N+Z)",
+		Name: "yannakakis",
 		Run: func(ctx context.Context, p *core.Problem, stats *certificate.Stats, emit func([]int) bool) error {
 			return baseline.YannakakisStream(ctx, p.GAO, p.Specs(), stats, emit)
 		},
 	})
 	Register(Engine{
-		Name:        "hashplan",
-		Streaming:   false,
-		Description: "left-deep pairwise hash-join plan (materializing oracle)",
+		Name: "hashplan",
 		Run: func(ctx context.Context, p *core.Problem, stats *certificate.Stats, emit func([]int) bool) error {
 			return baseline.LeftDeepHashJoinStream(ctx, p.GAO, p.Specs(), stats, emit)
 		},

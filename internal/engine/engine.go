@@ -20,7 +20,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"minesweeper/internal/certificate"
@@ -35,12 +34,10 @@ type RunFunc func(ctx context.Context, p *core.Problem, stats *certificate.Stats
 type Engine struct {
 	// Name is the registry key (also the CLI spelling).
 	Name string
-	// Streaming reports whether the first tuples arrive before the full
-	// evaluation finishes (the anytime property). Materializing plans
-	// (Yannakakis, hash plans) stream only their emission phase.
-	Streaming bool
-	// Description is a one-line summary for CLI/README listings.
-	Description string
+	// IndexOnly reports that Run reads the problem only through its
+	// atoms' index views, with no per-run Ω(N) rebuild, so range morsels
+	// (Parallel) split its work instead of repeating it.
+	IndexOnly bool
 	// Run evaluates the problem under the package contract above.
 	Run RunFunc
 }
@@ -70,16 +67,4 @@ func Lookup(name string) (Engine, bool) {
 	defer mu.RUnlock()
 	e, ok := registry[name]
 	return e, ok
-}
-
-// Names returns the registered engine names, sorted.
-func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -145,7 +145,7 @@ func Experiments() []*Experiment { return registry }
 var registry = []*Experiment{
 	figure2(), betaAcyclic(), appendixJ(), intersection(), bowtie(), triangle(),
 	treewidth(), memoization(), gaoDependence(), pushdown(), aggregate(), planning(),
-	clustered(), durability(), sharding(), gaoQuality(), layeredPath(), micro(),
+	clustered(), durability(), sharding(), gaoQuality(), layeredPath(), parallel(), micro(),
 }
 
 // Find returns the experiment with the given key, or nil.

@@ -414,3 +414,26 @@ func TestSystemClaims(t *testing.T) {
 		t.Errorf("aggregation changed the certificate work of the join: %+v vs %+v", agg, join)
 	}
 }
+
+// TestParallelClaim: the morsel executor changes no output, and on these
+// inputs what each morsel re-learns only adds to the sequential work.
+func TestParallelClaim(t *testing.T) {
+	seq := map[string]Row{}
+	for _, r := range smallRows(t, "parallel") {
+		key := r.Label("input") + "/" + r.Label("engine")
+		if r.Num("workers") == 1 {
+			seq[key] = r
+			continue
+		}
+		s, ok := seq[key]
+		if !ok {
+			t.Fatalf("%s: no workers=1 row before it", r.Name)
+		}
+		if r.Z != s.Z || r.Z == 0 {
+			t.Errorf("%s: %d outputs, workers=1 has %d", r.Name, r.Z, s.Z)
+		}
+		if r.Stats.FindGaps < s.Stats.FindGaps {
+			t.Errorf("%s: %d findgaps, below the sequential %d", r.Name, r.Stats.FindGaps, s.Stats.FindGaps)
+		}
+	}
+}

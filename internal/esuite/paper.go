@@ -1,13 +1,14 @@
 package esuite
 
 import (
+	"context"
 	"fmt"
 
-	"minesweeper/internal/baseline"
 	"minesweeper/internal/cds"
 	"minesweeper/internal/certificate"
 	"minesweeper/internal/core"
 	"minesweeper/internal/dataset"
+	"minesweeper/internal/engine"
 	"minesweeper/internal/hypergraph"
 	"minesweeper/internal/ordered"
 )
@@ -17,29 +18,15 @@ type query struct {
 	gao          []string
 	atoms        []core.AtomSpec
 	intervalOnly bool // evaluate with the box-cover CDS disabled
-}
-
-// engines are the evaluators the engine races (E3, E17) compare.
-// Minesweeper's cost reads from ProbePoints, Leapfrog's from FindGaps,
-// NPRR's and Yannakakis's from Comparisons.
-var engines = map[string]func(p *core.Problem, q query, st *certificate.Stats) ([][]int, error){
-	"minesweeper": func(p *core.Problem, _ query, st *certificate.Stats) ([][]int, error) {
-		return core.MinesweeperAll(p, st)
-	},
-	"leapfrog": func(p *core.Problem, _ query, st *certificate.Stats) ([][]int, error) {
-		return baseline.LeapfrogAll(p, st)
-	},
-	"nprr": func(p *core.Problem, _ query, st *certificate.Stats) ([][]int, error) {
-		return baseline.NPRRAll(p, st)
-	},
-	"yannakakis": func(_ *core.Problem, q query, st *certificate.Stats) ([][]int, error) {
-		return baseline.Yannakakis(q.gao, q.atoms, st)
-	},
+	workers      int  // range morsels of engine.Parallel; ≤ 1 is sequential
 }
 
 // join is the Setup of the common case: index the query once, then
-// evaluate it with the named engine on every run.
-func join(engine string, build func(Scale) query) func(Scale) (*Instance, error) {
+// evaluate it on every run with the named registered engine — the one
+// the library serves. The engine races (E3, E17) read Minesweeper's cost
+// from ProbePoints, Leapfrog's from FindGaps, NPRR's and Yannakakis's
+// from Comparisons.
+func join(name string, build func(Scale) query) func(Scale) (*Instance, error) {
 	return func(s Scale) (*Instance, error) {
 		q := build(s)
 		p, err := core.NewProblem(q.gao, q.atoms)
@@ -47,12 +34,22 @@ func join(engine string, build func(Scale) query) func(Scale) (*Instance, error)
 			return nil, err
 		}
 		p.DisableBoxes = q.intervalOnly
-		run := engines[engine]
-		return &Instance{N: int64(p.InputSize()), Run: func(st *certificate.Stats) (int, error) {
-			out, err := run(p, q, st)
-			return len(out), err
-		}}, nil
+		eng, _ := engine.Lookup(name)
+		return runInstance(p, engine.Parallel(eng, q.workers)), nil
 	}
+}
+
+// runInstance evaluates the indexed problem with run on every run,
+// counting the output tuples.
+func runInstance(p *core.Problem, run engine.RunFunc) *Instance {
+	return &Instance{N: int64(p.InputSize()), Run: func(st *certificate.Stats) (int, error) {
+		out := 0
+		err := run(context.Background(), p.Snapshot(), st, func([]int) bool {
+			out++
+			return true
+		})
+		return out, err
+	}}
 }
 
 // lazy adapts a scale-independent generator, deferring it to Setup.

@@ -448,6 +448,49 @@ func sharding() *Experiment {
 	return e
 }
 
+// --- E18: range-morsel parallelism -------------------------------------
+
+// parallel runs Minesweeper, Leapfrog and the dyadic triangle through
+// the one parallel executor, engine.Parallel, at 1/2/4 workers. The
+// morsel cut depends on the data and the worker count alone, so the
+// summed counters are exact and gated like the sequential cases.
+func parallel() *Experiment {
+	e := &Experiment{
+		ID: "E18", Key: "parallel",
+		Title: "Range-morsel parallelism: one executor for Minesweeper, Leapfrog and the dyadic triangle",
+		Claim: "Cutting the leading attribute into 4·W morsels keeps the W=1 output. Work grows by what " +
+			"each morsel re-learns: about a probe per boundary when every atom leads with the cut " +
+			"attribute, plus the gaps of the atoms that do not (E2, S), found again per morsel.",
+	}
+	add := func(input, eng string, w int, setup func(Scale) (*Instance, error)) {
+		e.Cases = append(e.Cases, Case{
+			Name:   fmt.Sprintf("Parallel/%s/%s/workers=%d", input, eng, w),
+			Coords: []Coord{label("input", input), label("engine", eng), num("workers", w)},
+			Small:  true, Full: true, Tracked: true,
+			Setup: setup,
+		})
+	}
+	for _, w := range []int{1, 2, 4} {
+		for _, eng := range []string{"minesweeper", "leapfrog"} {
+			add("E1", eng, w, join(eng, func(Scale) query {
+				edges := dataset.PowerLawGraph(2000, 6, false, 1).Edges
+				return query{gao: []string{"A", "B", "C"}, workers: w, atoms: []core.AtomSpec{
+					{Name: "E1", Attrs: []string{"A", "B"}, Tuples: edges},
+					{Name: "E2", Attrs: []string{"B", "C"}, Tuples: edges},
+				}}
+			}))
+		}
+		add("triangle", "dyadic", w, func(Scale) (*Instance, error) {
+			p, err := core.TriangleProblem(dataset.TriangleGraph(dataset.PowerLawGraph(600, 8, true, 5)))
+			if err != nil {
+				return nil, err
+			}
+			return runInstance(p, engine.Parallel(engine.Engine{IndexOnly: true, Run: core.TriangleRun}, w)), nil
+		})
+	}
+	return e
+}
+
 // --- hot-path micro-benchmarks ---------------------------------------
 
 func micro() *Experiment {

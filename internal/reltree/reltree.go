@@ -41,7 +41,7 @@ import (
 )
 
 // builds counts every index constructed since process start, by a full
-// build or by Merge; merges counts the latter alone. Clone and SliceTop
+// build or by Merge; merges counts the latter alone. View and SliceTop
 // views are not counted: tests and benchmarks use the counters to assert
 // that prepared queries reuse cached indexes instead of rebuilding them,
 // and that a mutated relation's indexes are merged forward rather than
@@ -305,19 +305,11 @@ func (t *Tree) Size() int { return t.size }
 // SetStats attaches the per-run cost counters; nil detaches.
 func (t *Tree) SetStats(s *certificate.Stats) { t.stats = s }
 
-// Clone returns a shallow per-run view of the tree: it shares the
-// immutable CSR arrays but carries its own stats receiver, so
-// concurrent executions over a cached index can each attach their own
-// counters without racing. O(1).
-func (t *Tree) Clone() *Tree {
-	cp := t.View()
-	return &cp
-}
-
-// View is Clone by value: a detached copy sharing the immutable CSR
-// arrays, with no stats receiver. Callers that clone many trees per
-// run (Problem.Snapshot, the parallel workers) store Views in one
-// block instead of paying one heap allocation per Clone.
+// View returns a shallow per-run copy of the tree: it shares the
+// immutable CSR arrays but carries no stats receiver, so concurrent
+// executions over a cached index can each attach their own counters
+// without racing. O(1); callers that view many trees per run
+// (Problem.Snapshot) store the Views in one block.
 func (t *Tree) View() Tree {
 	cp := *t
 	cp.stats = nil
@@ -327,8 +319,8 @@ func (t *Tree) View() Tree {
 // SliceTop returns a view of the tree restricted to the tuples whose
 // first attribute lies in [lo, hi]. The view shares the CSR arrays with
 // the receiver (nothing is re-sorted or rebuilt), which is how
-// range-parallel executions hand each worker its partition of a cached
-// index. The view carries no stats receiver. O(log fanout), one
+// range-morsel executions (engine.Parallel) hand each morsel its part of
+// a cached index. The view carries no stats receiver. O(log fanout), one
 // allocation.
 func (t *Tree) SliceTop(lo, hi int) *Tree {
 	top := t.flat.levels[0][t.top0 : t.top0+t.topN]

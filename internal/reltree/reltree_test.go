@@ -319,7 +319,7 @@ func TestFindGapValueSandwich(t *testing.T) {
 
 // TestSliceTopAndClone checks the shared-node view primitives that back
 // cached-index reuse: SliceTop restricts to a first-attribute range
-// without rebuilding, Clone isolates stats receivers, and both agree
+// without rebuilding, a View isolates stats receivers, and both agree
 // with a tree built from the filtered tuples.
 func TestSliceTopAndClone(t *testing.T) {
 	tuples := [][]int{{1, 5}, {1, 9}, {3, 2}, {4, 2}, {4, 7}, {8, 1}}
@@ -349,10 +349,10 @@ func TestSliceTopAndClone(t *testing.T) {
 			}
 		}
 	}
-	// Clone has its own stats receiver; the original stays untouched.
+	// A View has its own stats receiver; the original stays untouched.
 	before := Builds()
 	var s certificate.Stats
-	c := r.Clone()
+	c := r.View()
 	c.SetStats(&s)
 	c.FindGap(nil, 4)
 	if s.FindGaps != 1 {
@@ -365,7 +365,7 @@ func TestSliceTopAndClone(t *testing.T) {
 	if orig.FindGaps != 1 || s.FindGaps != 1 {
 		t.Fatalf("stats not isolated: orig=%d clone=%d", orig.FindGaps, s.FindGaps)
 	}
-	// Neither Clone nor SliceTop counts as an index build.
+	// Neither View nor SliceTop counts as an index build.
 	if Builds() != before {
 		t.Fatalf("views counted as builds: %d -> %d", before, Builds())
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -150,8 +151,8 @@ func reference(t *testing.T, c *Catalog, expr string, opts *minesweeper.Options)
 }
 
 // TestScatterGatherEquivalence is the core acceptance matrix: every
-// fixture × query shape × shard count × engine produces the exact
-// unsharded NDJSON stream.
+// fixture × query shape × shard count × engine × worker count produces
+// the exact NDJSON stream of the sequential unsharded run.
 func TestScatterGatherEquivalence(t *testing.T) {
 	for _, fx := range fixtures() {
 		t.Run(fx.name, func(t *testing.T) {
@@ -162,25 +163,25 @@ func TestScatterGatherEquivalence(t *testing.T) {
 						if eng == minesweeper.EngineYannakakis && !fx.acyclic {
 							continue
 						}
-						opts := &minesweeper.Options{Engine: eng}
 						ref := reference(t, c, expr, &minesweeper.Options{Engine: eng})
-						q, err := c.Query(expr)
-						if err != nil {
-							t.Fatalf("query %q: %v", expr, err)
-						}
-						pq, err := c.Prepare(q, opts)
-						if err != nil {
-							t.Fatalf("prepare %q engine=%v: %v", expr, eng, err)
-						}
-						res, err := pq.Execute()
-						if err != nil {
-							t.Fatalf("execute %q engine=%v shards=%d: %v", expr, eng, n, err)
-						}
-						got := ndjson(t, res.Vars, res.Tuples)
 						want := ndjson(t, ref.Vars, ref.Tuples)
-						if got != want {
-							t.Fatalf("shards=%d engine=%v query=%q: sharded stream diverges\ngot  %d tuples\nwant %d tuples",
-								n, eng, expr, len(res.Tuples), len(ref.Tuples))
+						for _, w := range []int{1, 2, 4} {
+							q, err := c.Query(expr)
+							if err != nil {
+								t.Fatalf("query %q: %v", expr, err)
+							}
+							pq, err := c.Prepare(q, &minesweeper.Options{Engine: eng, Workers: w})
+							if err != nil {
+								t.Fatalf("prepare %q engine=%v: %v", expr, eng, err)
+							}
+							res, err := pq.Execute()
+							if err != nil {
+								t.Fatalf("execute %q engine=%v shards=%d workers=%d: %v", expr, eng, n, w, err)
+							}
+							if got := ndjson(t, res.Vars, res.Tuples); got != want {
+								t.Fatalf("shards=%d engine=%v workers=%d query=%q: sharded stream diverges\ngot  %d tuples\nwant %d tuples",
+									n, eng, w, expr, len(res.Tuples), len(ref.Tuples))
+							}
 						}
 					}
 				}
@@ -317,59 +318,126 @@ func TestPreparedAfterMutation(t *testing.T) {
 	}
 }
 
-// TestLimitAndCancellation: the anytime contract survives sharding — a
-// yield that stops early gets exactly the unsharded prefix, and a
-// cancelled context stops the gather with the context's error while
-// counters drain cleanly.
+// TestLimitAndCancellation: the anytime contract survives sharding and
+// workers — for every engine × shard count × worker count, a yield that
+// stops early gets exactly the sequential unsharded prefix, and a
+// cancelled context stops the run with the context's error without one
+// more tuple.
 func TestLimitAndCancellation(t *testing.T) {
 	e13r, e13s := dataset.ClusteredOverlapJoin(4, 32, 8)
-	c := buildSharded(t, 4, []relSpec{
-		{"R", []string{"x", "y"}, e13r},
-		{"S", []string{"x", "y"}, e13s},
-	})
 	const expr = "R(X,Y), S(X,Y)"
-	ref := reference(t, c, expr, nil)
-	q, err := c.Query(expr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pq, err := c.Prepare(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{1, 3, len(ref.Tuples)} {
-		var got [][]int
-		if _, err := pq.StreamContextExplained(context.Background(), nil, func(tu []int) bool {
-			got = append(got, append([]int(nil), tu...))
-			return len(got) < limit
-		}); err != nil {
-			t.Fatalf("limit=%d: %v", limit, err)
+	for _, n := range []int{1, 2, 4} {
+		c := buildSharded(t, n, []relSpec{
+			{"R", []string{"x", "y"}, e13r},
+			{"S", []string{"x", "y"}, e13s},
+		})
+		for _, eng := range allEngines {
+			ref := reference(t, c, expr, &minesweeper.Options{Engine: eng})
+			for _, w := range []int{1, 2, 4} {
+				name := fmt.Sprintf("shards=%d engine=%v workers=%d", n, eng, w)
+				q, err := c.Query(expr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pq, err := c.Prepare(q, &minesweeper.Options{Engine: eng, Workers: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, limit := range []int{1, 3, len(ref.Tuples)} {
+					var got [][]int
+					if _, err := pq.StreamContextExplained(context.Background(), nil, func(tu []int) bool {
+						got = append(got, append([]int(nil), tu...))
+						return len(got) < limit
+					}); err != nil {
+						t.Fatalf("%s limit=%d: %v", name, limit, err)
+					}
+					if !reflect.DeepEqual(got, ref.Tuples[:limit]) {
+						t.Fatalf("%s limit=%d: prefix diverges from the unsharded stream", name, limit)
+					}
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				seen, sawAfterCancel := 0, false
+				_, err = pq.StreamContextExplained(ctx, nil, func([]int) bool {
+					if ctx.Err() != nil {
+						sawAfterCancel = true
+					}
+					seen++
+					if seen == 2 {
+						cancel()
+					}
+					return true
+				})
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: cancelled run returned %v, want context.Canceled", name, err)
+				}
+				if sawAfterCancel {
+					t.Fatalf("%s: a tuple was yielded after cancellation", name)
+				}
+				if seen >= len(ref.Tuples) {
+					t.Fatalf("%s: enumerated all %d tuples despite cancellation", name, seen)
+				}
+			}
 		}
-		if !reflect.DeepEqual(got, ref.Tuples[:limit]) {
-			t.Fatalf("limit=%d: prefix diverges from unsharded stream", limit)
+	}
+}
+
+// TestScatterSplitsWorkers: a workers=W run over N scattered shards
+// gives each substream ⌈W/N⌉ morsel workers, so it starts at most W + N
+// engine goroutines (N substreams plus their morsel workers), not N·W.
+func TestScatterSplitsWorkers(t *testing.T) {
+	var rT, sT [][]int
+	for b := 0; b < 3000; b++ {
+		for i := 0; i < 4; i++ {
+			rT = append(rT, []int{(b*7919 + i*104729) % 100003, b})
+			sT = append(sT, []int{b, (b*6151 + i*7907) % 100019})
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	n, sawAfterCancel := 0, false
-	_, err = pq.StreamContextExplained(ctx, nil, func([]int) bool {
-		if ctx.Err() != nil {
-			sawAfterCancel = true
+	for _, sc := range []struct{ w, n int }{{4, 4}, {4, 2}} {
+		c := buildSharded(t, sc.n, []relSpec{
+			{"R", []string{"a", "b"}, rT},
+			{"S", []string{"b", "c"}, sT},
+		})
+		if err := c.ForcePartition("S", Partition{Column: 0, Attr: "b", Mode: ModeHash}); err != nil {
+			t.Fatal(err)
 		}
-		n++
-		if n == 2 {
-			cancel()
+		q, err := c.Query("R(A,B), S(B,C)")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return true
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled gather returned %v, want context.Canceled", err)
-	}
-	if sawAfterCancel {
-		t.Fatal("gather yielded a tuple after cancellation")
-	}
-	if n >= len(ref.Tuples) {
-		t.Fatalf("gather enumerated all %d tuples despite cancellation", n)
+		pq, err := c.Prepare(q, &minesweeper.Options{GAO: []string{"B", "A", "C"}, Workers: sc.w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := pq.Explain(); len(ex.Partitions) != 1 || ex.Partitions[0] == "gathered" {
+			t.Fatalf("plan did not scatter: %v", ex.Partitions)
+		}
+		// Sample the goroutine count for the whole run; the sampler is
+		// one goroutine of its own.
+		base := runtime.NumGoroutine()
+		stop, peak := make(chan struct{}), make(chan int)
+		go func() {
+			most := 0
+			for {
+				select {
+				case <-stop:
+					peak <- most
+					return
+				default:
+				}
+				most = max(most, runtime.NumGoroutine())
+				runtime.Gosched()
+			}
+		}()
+		_, err = pq.Execute()
+		close(stop)
+		started := <-peak - base - 1
+		if err != nil {
+			t.Fatal(err)
+		}
+		if started > sc.w+sc.n {
+			t.Fatalf("workers=%d over %d shards started %d goroutines, want ≤ %d", sc.w, sc.n, started, sc.w+sc.n)
+		}
 	}
 }
 

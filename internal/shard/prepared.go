@@ -87,10 +87,11 @@ func (e *substreamError) Unwrap() error { return e.cause }
 // have been built against this catalog's relations (Catalog.Query); one
 // parsed before a leadership move is bound to the relations' current
 // objects first. Options carry through to every per-shard prepare,
-// except that the GAO is pinned to the full plan's choice and the
-// domain to the order-preserving natural encoding — a
-// frequency-permuted domain would give each shard its own code order
-// and break the merge.
+// except that the GAO is pinned to the full plan's choice, the domain
+// to the order-preserving natural encoding — a frequency-permuted
+// domain would give each shard its own code order and break the
+// merge — and Workers is split among the shards. A run that does not
+// scatter uses the full Workers.
 func (c *Catalog) Prepare(q *minesweeper.Query, opts *minesweeper.Options) (*Prepared, error) {
 	p := &Prepared{cat: c, cur: &scatterPlan{q: q}}
 	if opts != nil {
@@ -236,6 +237,10 @@ func (p *Prepared) prepareSubstream(q *minesweeper.Query, gao []string, slice in
 	o := p.opts
 	o.GAO = gao
 	o.Domain = minesweeper.DomainNatural
+	// The N substreams already run side by side: each takes ⌈W/N⌉
+	// morsel workers, so a scattered run starts at most W + N engine
+	// goroutines rather than N·W.
+	o.Workers = (o.Workers + p.cat.n - 1) / p.cat.n
 	if resume != nil && len(gao) > 0 {
 		// nil Where means "the query's own parsed where clause": make
 		// that explicit before appending, or the resume bound would

@@ -455,8 +455,10 @@ type Options struct {
 	// (see DomainFreq). Ignored under DictOff — domain permutations ride
 	// on the dictionary machinery.
 	Domain DomainOrder
-	// Workers > 1 parallelizes the Minesweeper engine by partitioning the
-	// first GAO attribute's domain (ignored by other engines).
+	// Workers > 1 runs Minesweeper or Leapfrog on that many goroutines over
+	// about 4·Workers range morsels of the first GAO attribute not pinned
+	// by a constant, emitted in order, so the stream is a sequential run's
+	// and its first tuple waits for one morsel. Other engines ignore it.
 	Workers int
 	// Debug enables internal soundness checks (slower).
 	Debug bool
@@ -629,13 +631,4 @@ func TriangleJoin(r, s, t [][]int) ([][]int, Stats, error) {
 // (use both orientations for an undirected graph).
 func ListTriangles(edges [][]int) ([][]int, Stats, error) {
 	return TriangleJoin(edges, edges, edges)
-}
-
-// ListTrianglesParallel enumerates ordered triangles with the dyadic-CDS
-// engine parallelized across workers by partitioning the A domain
-// (mirroring the paper's multi-threaded runs). workers ≤ 1 is sequential.
-func ListTrianglesParallel(edges [][]int, workers int) ([][]int, Stats, error) {
-	var st Stats
-	out, err := core.TriangleParallel(edges, edges, edges, workers, &st)
-	return out, st, err
 }

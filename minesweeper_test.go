@@ -269,24 +269,6 @@ func TestSelfJoinThroughAPI(t *testing.T) {
 	}
 }
 
-func TestListTrianglesParallelAPI(t *testing.T) {
-	edges := [][]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {0, 2}, {2, 0}, {2, 3}, {3, 2}}
-	seq, _, err := ListTriangles(edges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, stats, err := ListTrianglesParallel(edges, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, seq) {
-		t.Fatalf("parallel %v vs sequential %v", par, seq)
-	}
-	if stats.FindGaps == 0 {
-		t.Fatal("stats not merged")
-	}
-}
-
 func TestExecuteParallelWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	var tuples [][]int

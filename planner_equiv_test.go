@@ -70,7 +70,7 @@ func TestPlannedGAOEngineEquivalence(t *testing.T) {
 			for _, dict := range []DictMode{DictAuto, DictOff, DictOn} {
 				for _, eng := range allEngines {
 					for _, workers := range []int{1, 4} {
-						if workers > 1 && eng != EngineMinesweeper {
+						if workers > 1 && eng != EngineMinesweeper && eng != EngineLeapfrog {
 							continue
 						}
 						opts := shape.opts

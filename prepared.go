@@ -756,9 +756,9 @@ func (pq *PreparedQuery) StreamContextExplained(ctx context.Context, plan func(E
 }
 
 // pinnedRaw pins one plan state and assembles its raw run function —
-// the resolved engine, the parallel-Minesweeper swap, the dictionary
-// decode wrapper — shared by the shaped (streamPinned) and raw
-// (StreamRawContext) streaming paths. A nil *prepState with nil error
+// the resolved engine, spread over Options.Workers range morsels when it
+// is IndexOnly, and the dictionary decode wrapper — shared by the shaped
+// (streamPinned) and raw (StreamRawContext) streaming paths. A nil *prepState with nil error
 // is the provably-empty no-work short-circuit (the plan callback has
 // then already fired).
 func (pq *PreparedQuery) pinnedRaw(plan func(Explain)) (engine.RunFunc, *core.Problem, *prepState, error) {
@@ -780,13 +780,7 @@ func (pq *PreparedQuery) pinnedRaw(plan func(Explain)) (engine.RunFunc, *core.Pr
 	if plan != nil {
 		plan(pq.explainState(st))
 	}
-	rawRun := pq.runner.Run
-	if pq.eng == EngineMinesweeper && pq.opts.Workers > 1 {
-		workers := pq.opts.Workers
-		rawRun = func(ctx context.Context, p *core.Problem, stats *Stats, emit func([]int) bool) error {
-			return core.MinesweeperParallelStream(ctx, p, workers, stats, emit)
-		}
-	}
+	rawRun := engine.Parallel(pq.runner, pq.opts.Workers)
 	if st.dicts.Any() {
 		inner := rawRun
 		dicts := st.dicts
