@@ -3,6 +3,7 @@ package main
 import (
 	"net/http"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,10 +11,11 @@ import (
 	"minesweeper/internal/storage"
 )
 
-// The replicated-serving acceptance path from the issue: a 4-shard ×
-// 2-replica server whose primary backend is killed mid-stream must
-// deliver the byte-identical NDJSON stream, keep accepting mutations
-// after the failover, report the failover in /stats, self-heal through
+// The replicated-serving acceptance path: a 4-shard × 2-replica server
+// whose primary backend is killed mid-stream must deliver the
+// byte-identical NDJSON stream (the run reads the fragments it pinned),
+// fail over on the next mutation that reaches the dead primary, keep
+// accepting mutations, report the failover in /stats, self-heal through
 // the background reopen loop, and survive a rolling reopen of every
 // replica with /readyz never leaving 200.
 func TestReplicatedFailoverAcceptance(t *testing.T) {
@@ -40,8 +42,8 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 	}
 	t.Cleanup(func() { sc.Close() })
 
-	// A dense join so every shard's substream runs long enough for the
-	// health probe to notice the poisoned replica mid-stream.
+	// A dense join so every shard's substream is still running when the
+	// replica is poisoned mid-stream.
 	var rT, sT [][]int
 	for i := 0; i < 500; i++ {
 		rT = append(rT, []int{i, (i * 3) % 50})
@@ -58,9 +60,18 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 	cfg := defaultServerConfig()
 	cfg.reopenBase = 2 * time.Millisecond
 	cfg.reopenPoll = 10 * time.Millisecond
-	cfg.reopenTargets = downReplicaTargets(sc, func(i, j int) (storage.Backend, error) {
+	// The reopen loop stays off until the failover has been observed:
+	// healed first, the poisoned primary would take the mutation itself.
+	var heal atomic.Bool
+	targets := downReplicaTargets(sc, func(i, j int) (storage.Backend, error) {
 		return storage.OpenDurable(shard.ReplicaDir(dir, i, j), storage.Options{})
 	})
+	cfg.reopenTargets = func() []reopenTarget {
+		if !heal.Load() {
+			return nil
+		}
+		return targets()
+	}
 	emitted := 0
 	cfg.emitHook = func([]int) {
 		emitted++
@@ -80,8 +91,8 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 	// Reference stream with no fault armed.
 	ref := parseRun(t, do(t, s, "GET", "/queries/rs/run", "").Body)
 
-	// Kill shard 0's primary mid-stream: the substream must fail over
-	// to the sibling replica and resume, byte-identically.
+	// Kill shard 0's primary mid-stream: the run finishes on the
+	// fragments it pinned, byte-identically.
 	victim := sc.Primary(0)
 	kill <- faulty[0][victim]
 	emitted = 0
@@ -91,26 +102,27 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 	if !reflect.DeepEqual(got.header, ref.header) || !reflect.DeepEqual(got.tuples, ref.tuples) {
 		t.Fatalf("stream across replica kill diverges: %d tuples vs %d", len(got.tuples), len(ref.tuples))
 	}
-	if got := sc.Primary(0); got == victim {
-		t.Fatalf("shard 0 primary still %d after its backend died", victim)
-	}
-	if sc.Failovers() < 1 {
-		t.Fatal("no failover recorded")
+	if down := sc.DownReplicas(); len(down) != 1 || down[0].Shard != 0 || down[0].Replica != victim {
+		t.Fatalf("DownReplicas = %+v, want shard 0 replica %d", down, victim)
 	}
 
-	// Mutations keep succeeding on the promoted primary; /readyz stays
-	// ready throughout (a healthy replica remains).
+	// Failover is a write-path event: a load writes every shard, so
+	// it reaches shard 0, finds the primary poisoned and promotes the
+	// sibling. Mutations keep succeeding on the promoted primary; /readyz
+	// stays ready throughout (a healthy replica remains).
+	wantStatus(t, do(t, s, "POST", "/relations", "G: x\n1\n2\n3\n4\n"), http.StatusOK)
+	if got := sc.Primary(0); got == victim {
+		t.Fatalf("shard 0 primary still %d after a mutation hit its dead backend", victim)
+	}
 	wantStatus(t, do(t, s, "POST", "/relations/E/insert", `{"tuples":[[900,1],[901,2],[902,3],[903,4]]}`), http.StatusOK)
 	wantStatus(t, do(t, s, "GET", "/readyz", ""), http.StatusOK)
 	health, _ := statsBody(t, s)["health"].(map[string]any)
-	if n, _ := health["substream_retries"].(float64); n < 1 {
-		t.Fatalf("substream_retries = %v, want >= 1", health["substream_retries"])
-	}
 	if n, _ := health["failovers"].(float64); n < 1 {
 		t.Fatalf("failovers = %v, want >= 1", health["failovers"])
 	}
 
 	// The background reopen loop heals the killed replica on its own.
+	heal.Store(true)
 	deadline := time.Now().Add(5 * time.Second)
 	for len(sc.DownReplicas()) > 0 {
 		if time.Now().After(deadline) {

@@ -47,10 +47,10 @@
 // torn tail. Without -data-dir everything stays in memory.
 //
 // A replica whose storage poisons is failed over: mutations promote a
-// healthy follower, running substreams resume on a sibling from the
-// last delivered key (the stream stays byte-identical), and the
-// background reopen loop recovers each dead copy on an independent
-// backoff schedule while /readyz stays ready.
+// healthy follower, running queries finish on the in-memory fragments
+// they pinned (the stream stays byte-identical), and the background
+// reopen loop recovers each dead copy on an independent backoff
+// schedule while /readyz stays ready.
 //
 // The serving plane defends itself: -max-runs/-max-mutations bound the
 // concurrent work admitted (the overflow queue is capped at
@@ -90,7 +90,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long in-flight streams may drain at shutdown")
 	fsync := flag.Bool("fsync", false, "with -data-dir: fsync the WAL on every mutation (safer, slower)")
 	shards := flag.Int("shards", 1, "partition relations across N goroutine-owned shards with scatter-gather execution (with -data-dir: one WAL directory per shard)")
-	replicas := flag.Int("replicas", 1, "keep R synchronous copies of every shard fragment; a poisoned primary fails over to a healthy follower and substreams retry on siblings")
+	replicas := flag.Int("replicas", 1, "keep R synchronous copies of every shard fragment; a poisoned primary fails over to a healthy follower on the next mutation")
 	cfg := defaultServerConfig()
 	flag.IntVar(&cfg.maxRuns, "max-runs", cfg.maxRuns, "max concurrent query executions (<=0 unlimited)")
 	flag.IntVar(&cfg.maxMutations, "max-mutations", cfg.maxMutations, "max concurrent catalog mutations (<=0 unlimited)")

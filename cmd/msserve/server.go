@@ -49,10 +49,10 @@ type serverConfig struct {
 	reopenBase    time.Duration
 	reopenMax     time.Duration
 	// reopenPoll is the idle re-scan cadence of the reopen loop:
-	// degradations detected out-of-band (a substream health probe, an
-	// injected fault with no mutation behind it) have no 503 to ring
-	// degradedCh, so the loop re-enumerates targets at this interval
-	// too.
+	// degradations with no mutation behind them (a backend poisoned
+	// out-of-band, a follower marked down by a mutation that still
+	// succeeded) have no 503 to ring degradedCh, so the loop
+	// re-enumerates targets at this interval too.
 	reopenPoll time.Duration
 	// emitHook is a test seam invoked with each output tuple before it
 	// is written to the stream (nil in production).
@@ -1207,15 +1207,15 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-shard scatter counters: runs, inflight and queued substreams
 	// (queued > 0 marks a hot shard whose substream outpaces the merge),
-	// data volume and per-shard storage health.
+	// substream panics (each ended its run with an error), data volume
+	// and per-shard storage health. Reads never fail over, so failovers
+	// counts write-path leadership moves only.
 	sh := s.cat.ShardStats()
 	body["shards"] = sh
-	var retries, panics int64
+	var panics int64
 	for _, st := range sh {
-		retries += st.Retries
 		panics += st.Panics
 	}
-	health["substream_retries"] = retries
 	health["substream_panics"] = panics
 	health["failovers"] = s.cat.Failovers()
 	if s.runs > 0 {

@@ -16,14 +16,13 @@ import (
 // shardCounters is one shard's serving-side telemetry: scatter runs
 // started, substream tuples emitted, currently running substreams,
 // substream producers currently blocked on a full gather channel (the
-// hot-shard signal), substream retries on a sibling replica, and
-// substream panics recovered.
+// hot-shard signal), and substream panics recovered (each one ended its
+// run with an error; nothing is retried).
 type shardCounters struct {
 	runs     atomic.Int64
 	emitted  atomic.Int64
 	inflight atomic.Int64
 	queued   atomic.Int64
-	retries  atomic.Int64
 	panics   atomic.Int64
 }
 
@@ -45,7 +44,6 @@ type ShardStat struct {
 	Inflight  int64         `json:"inflight"`
 	Queued    int64         `json:"queued"`
 	Emitted   int64         `json:"emitted"`
-	Retries   int64         `json:"retries,omitempty"`
 	Panics    int64         `json:"panics,omitempty"`
 	Degraded  string        `json:"degraded,omitempty"`
 	Storage   storage.Stats `json:"storage"`
@@ -73,7 +71,10 @@ type ShardStat struct {
 // relation's epoch stamp. A primary whose store is poisoned is marked
 // down and a healthy follower is promoted in its place — the mutation
 // retries there, so a single replica failure never flips the shard
-// read-only.
+// read-only. Failover is a write-path event only: a scattered run
+// streams the fragment objects its plan bound, which no storage fault
+// can change, so reads never fail over mid-stream; plans pick a
+// healthy replica per shard when they are built.
 type Catalog struct {
 	n   int
 	r   int
@@ -97,11 +98,6 @@ type Catalog struct {
 	lineages uint64
 
 	failovers atomic.Int64
-
-	// killHook, when set (tests only), is consulted before each
-	// substream tuple with the serving (shard, replica); a non-nil
-	// return fails the substream as if the replica died mid-stream.
-	killHook func(shard, replica int, tuple []int) error
 }
 
 func newCatalog(shards, replicas int, dir string) *Catalog {
@@ -597,7 +593,7 @@ func (c *Catalog) StorageStats() storage.Stats {
 }
 
 // ShardStats describes every shard for /stats: per-shard data volume,
-// scatter activity (the hot-shard signal), failover/retry counters and
+// scatter activity (the hot-shard signal), substream panics and
 // per-replica storage health.
 func (c *Catalog) ShardStats() []ShardStat {
 	c.mu.Lock()
@@ -613,7 +609,6 @@ func (c *Catalog) ShardStats() []ShardStat {
 			Inflight: c.counters[i].inflight.Load(),
 			Queued:   c.counters[i].queued.Load(),
 			Emitted:  c.counters[i].emitted.Load(),
-			Retries:  c.counters[i].retries.Load(),
 			Panics:   c.counters[i].panics.Load(),
 			Storage:  cc.StorageStats(),
 		}

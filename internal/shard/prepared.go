@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -17,11 +16,6 @@ import (
 // decouple a shard's probe loop from merge scheduling hiccups, shallow
 // enough that cancellation stops wasted work quickly.
 const scatterBuf = 64
-
-// healthCheckEvery is how many substream tuples pass between replica
-// health probes. Raw tuples come out of in-memory fragments, so a dead
-// backend never fails the read itself — the substream has to ask.
-const healthCheckEvery = 32
 
 // Prepared is the catalog's counterpart of minesweeper.PreparedQuery: it
 // holds the full prepared query over whole relations — which serves
@@ -40,48 +34,30 @@ type Prepared struct {
 	// keeps the plan it pinned.
 	mu  sync.Mutex
 	cur *scatterPlan
+
+	// emitHook, when set (tests only), is called in each substream's
+	// goroutine with its shard index before every raw tuple.
+	emitHook func(shard int)
 }
 
 // scatterPlan pins one plan: the query as bound to the whole relations'
 // current objects with its full prepared query, the GAO the scatter
 // decision was made for, the catalog version it saw, and — when
-// scattering — the per-shard
-// prepared queries (all forced to the same GAO under the
-// order-preserving natural domain, so their raw streams merge by plain
-// tuple comparison), plus everything a mid-run substream retry needs
-// to rebuild one substream on a sibling replica: the sliced atom, the
-// plan-time fragment epochs, and which replica each shard's substream
-// was bound to.
+// scattering — the per-shard prepared queries (all forced to the same
+// GAO under the order-preserving natural domain, so their raw streams
+// merge by plain tuple comparison), each bound to the fragment object
+// its shard served at plan time. Fragments are immutable — a mutation
+// swaps in a fresh copy, a replica reopen leaves the old one valid — so
+// a run streams exactly what it pinned, whatever happens to the
+// replica's storage meanwhile.
 type scatterPlan struct {
 	q          *minesweeper.Query
 	full       *minesweeper.PreparedQuery
 	gao        []string
 	version    uint64
 	partitions []string
-	name       string                       // sliced relation
-	slice      int                          // sliced atom index in q.Atoms()
-	epochs     []uint64                     // plan-time fragment epoch per shard
-	replica    []int                        // serving replica per shard
 	shards     []*minesweeper.PreparedQuery // nil => run gathered via full
 }
-
-// substreamError is a recoverable per-substream failure: the scatter
-// manager retries the substream on a sibling replica, resuming from
-// the last delivered key. markDown additionally records the replica as
-// failed (storage death); a recovered panic retries without marking —
-// the replica's data is intact, the fault may be transient.
-type substreamError struct {
-	shard    int
-	replica  int
-	cause    error
-	markDown bool
-}
-
-func (e *substreamError) Error() string {
-	return fmt.Sprintf("shard %d replica %d: %v", e.shard, e.replica, e.cause)
-}
-
-func (e *substreamError) Unwrap() error { return e.cause }
 
 // Prepare plans a query for execution over the catalog. The query must
 // have been built against this catalog's relations (Catalog.Query); one
@@ -179,8 +155,6 @@ func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQue
 	}
 	name := atoms[slice].Rel.Name()
 	frags := make([]*minesweeper.Relation, p.cat.n)
-	epochs := make([]uint64, p.cat.n)
-	reps := make([]int, p.cat.n)
 	ok := true
 	for s := 0; s < p.cat.n; s++ {
 		rep := -1
@@ -200,7 +174,7 @@ func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQue
 			ok = false // fragment missing (partial create): run gathered
 			break
 		}
-		frags[s], epochs[s], reps[s] = frag, frag.Epoch(), rep
+		frags[s] = frag
 	}
 	p.cat.mu.Unlock()
 	if !ok {
@@ -208,26 +182,20 @@ func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQue
 	}
 	shards := make([]*minesweeper.PreparedQuery, p.cat.n)
 	for s := range shards {
-		pq, err := p.prepareSubstream(q, gao, slice, frags[s], nil)
+		pq, err := p.prepareSubstream(q, gao, slice, frags[s])
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
 		shards[s] = pq
 	}
-	plan.name, plan.slice = name, slice
-	plan.shards, plan.epochs, plan.replica = shards, epochs, reps
+	plan.shards = shards
 	plan.partitions = []string{fmt.Sprintf("%s=%s/%d", name, part.String(), p.cat.n)}
 	return plan, nil
 }
 
 // prepareSubstream builds one shard's prepared query: the sliced atom
-// rebound to frag, the GAO pinned, the domain forced natural. A
-// non-nil resume row (a full extended-GAO raw tuple, the last one the
-// failed substream delivered) additionally pushes the resume key down
-// as an inclusive lower bound on the leading GAO variable — the PR 4
-// bounds machinery — so the replacement substream seeks straight to
-// the failure frontier instead of rescanning the fragment.
-func (p *Prepared) prepareSubstream(q *minesweeper.Query, gao []string, slice int, frag minesweeper.Fragment, resume []int) (*minesweeper.PreparedQuery, error) {
+// rebound to frag, the GAO pinned, the domain forced natural.
+func (p *Prepared) prepareSubstream(q *minesweeper.Query, gao []string, slice int, frag minesweeper.Fragment) (*minesweeper.PreparedQuery, error) {
 	qs := q.CloneWithRelations(func(i int, f minesweeper.Fragment) minesweeper.Fragment {
 		if i == slice {
 			return frag
@@ -241,56 +209,7 @@ func (p *Prepared) prepareSubstream(q *minesweeper.Query, gao []string, slice in
 	// morsel workers, so a scattered run starts at most W + N engine
 	// goroutines rather than N·W.
 	o.Workers = (o.Workers + p.cat.n - 1) / p.cat.n
-	if resume != nil && len(gao) > 0 {
-		// nil Where means "the query's own parsed where clause": make
-		// that explicit before appending, or the resume bound would
-		// silently drop the query's textual filters.
-		eff := o.Where
-		if eff == nil {
-			eff = q.Where()
-		}
-		where := make([]minesweeper.Filter, 0, len(eff)+1)
-		where = append(where, eff...)
-		// The raw row layout is hidden constants first, then the GAO
-		// variables: gao[0]'s value sits at len(resume)-len(gao).
-		where = append(where, minesweeper.Filter{
-			Var: gao[0], Op: ">=", Value: resume[len(resume)-len(gao)],
-		})
-		o.Where = where
-	}
 	return qs.Prepare(&o)
-}
-
-// retrySubstream picks an untried healthy sibling replica whose
-// fragment still sits at the plan's pinned epoch (a replica that moved
-// past it — a concurrent mutation — cannot resume byte-identically)
-// and builds the resumed substream against it.
-func (p *Prepared) retrySubstream(cur *scatterPlan, s int, tried map[int]bool, resume []int) (int, *minesweeper.PreparedQuery, error) {
-	type cand struct {
-		rep  int
-		frag *minesweeper.Relation
-	}
-	p.cat.mu.Lock()
-	var cands []cand
-	for j := 0; j < p.cat.r; j++ {
-		if tried[j] || p.cat.replicaErrLocked(s, j) != nil {
-			continue
-		}
-		frag, ok := p.cat.replicas[s][j].Get(cur.name)
-		if !ok || frag.Epoch() != cur.epochs[s] {
-			continue
-		}
-		cands = append(cands, cand{j, frag})
-	}
-	p.cat.mu.Unlock()
-	for _, cd := range cands {
-		pq, err := p.prepareSubstream(cur.q, cur.gao, cur.slice, cd.frag, resume)
-		if err == nil {
-			tried[cd.rep] = true
-			return cd.rep, pq, nil
-		}
-	}
-	return -1, nil, fmt.Errorf("shard %d: no replica can resume the substream", s)
 }
 
 // pinned returns the current plan.
@@ -320,17 +239,16 @@ func (p *Prepared) Explain() minesweeper.Explain {
 }
 
 // Execute runs the query to completion (convenience over the stream).
+// Like minesweeper.PreparedQuery.ExecuteContext, a run that fails
+// part-way returns the ordered prefix it collected alongside the error.
 func (p *Prepared) Execute() (*minesweeper.Result, error) {
-	var tuples [][]int
-	var ex minesweeper.Explain
-	stats, err := p.StreamContextExplained(context.Background(), func(e minesweeper.Explain) { ex = e }, func(t []int) bool {
-		tuples = append(tuples, t)
+	res := &minesweeper.Result{}
+	stats, err := p.StreamContextExplained(context.Background(), func(ex minesweeper.Explain) { res.GAO = ex.GAO }, func(t []int) bool {
+		res.Tuples = append(res.Tuples, t)
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &minesweeper.Result{Vars: p.OutputVars(), Tuples: tuples, GAO: ex.GAO, Stats: stats}, nil
+	res.Vars, res.Engine, res.Stats = p.OutputVars(), p.Engine(), stats
+	return res, err
 }
 
 // StreamContextExplained re-plans if needed, reports the plan, and
@@ -356,8 +274,8 @@ func (p *Prepared) StreamContextExplained(ctx context.Context, plan func(mineswe
 	return p.gather(ctx, cur, plan, yield)
 }
 
-// sub is one shard's gather-side state: the merge channel, the folded
-// stats of every attempt, and the terminal error when retries ran out.
+// sub is one shard's gather-side state: the merge channel, the
+// substream's stats, and its terminal error.
 type sub struct {
 	ch    chan []int
 	stats minesweeper.Stats
@@ -372,13 +290,13 @@ type sub struct {
 // raw assignment surfaces exactly once and the merged stream is
 // byte-identical to the unsharded raw stream.
 //
-// Each substream is its own fault domain: a replica that dies or an
-// engine that panics mid-run fails only that substream, and its
-// manager goroutine retries on a sibling replica with the substream's
-// last delivered key pushed down as a resume bound — everything at or
-// before the key is skipped, so the merged stream continues exactly
-// where it stopped and stays byte-identical through the failure. Only
-// when no replica can resume does the run truncate with an error.
+// A substream reads only the fragment its plan pinned, so a replica
+// whose storage dies mid-run changes nothing it reads: the run finishes
+// on that fragment, and detecting the death is left to the write path,
+// the next plan and the reopen loop. A substream that fails — an engine
+// panic, say — ends the run with an error after a correct merged
+// prefix; nothing is retried, as with a panicking engine.Parallel
+// morsel.
 func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error) {
 	_, sh, err := cur.q.ShapePlan(cur.gao, &p.opts)
 	if err != nil {
@@ -401,40 +319,7 @@ func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(mines
 			go func(s int, sb *sub) {
 				defer wg.Done()
 				defer close(sb.ch)
-				ctr := &p.cat.counters[s]
-				ctr.runs.Add(1)
-				ctr.inflight.Add(1)
-				defer ctr.inflight.Add(-1)
-				pq := cur.shards[s]
-				rep := cur.replica[s]
-				tried := map[int]bool{rep: true}
-				var last []int
-				var resume []int
-				for {
-					st, err := p.runSubstream(cctx, s, rep, pq, resume, sb, &last)
-					sb.stats.Add(&st)
-					if err == nil {
-						return
-					}
-					var serr *substreamError
-					if !errors.As(err, &serr) || cctx.Err() != nil {
-						sb.err = err
-						return
-					}
-					if serr.markDown {
-						p.cat.markReplicaDown(s, rep, serr.cause)
-					}
-					if last != nil {
-						resume = append(resume[:0], last...)
-					}
-					nrep, npq, rerr := p.retrySubstream(cur, s, tried, resume)
-					if rerr != nil {
-						sb.err = serr.cause
-						return
-					}
-					rep, pq = nrep, npq
-					ctr.retries.Add(1)
-				}
+				sb.stats, sb.err = p.runSubstream(cctx, s, cur.shards[s], sb.ch)
 			}(s, sb)
 		}
 		// On every exit: stop the producers, wait them out, and fold
@@ -492,54 +377,28 @@ func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(mines
 	return stats, err
 }
 
-// runSubstream runs one attempt of one shard's raw substream against
-// one replica, pushing tuples into the gather channel. It is the
-// per-substream fault boundary:
-//
-//   - a panicking engine is recovered here and surfaced as a retryable
-//     substream error (counted per shard);
-//   - every healthCheckEvery tuples the replica's health is probed —
-//     fragments are in-memory, so a poisoned store never fails the
-//     read itself, the substream has to detect it and hand over;
-//   - the test-only killHook can fail the attempt at an exact tuple;
-//   - on a resumed attempt, rows lexicographically at or before the
-//     resume key are skipped (the coarse >= bound on gao[0] readmits
-//     rows sharing the boundary value that were already delivered).
-//
-// last tracks the newest tuple actually handed to the gather channel
-// across attempts — the resume frontier.
-func (p *Prepared) runSubstream(cctx context.Context, s, rep int, pq *minesweeper.PreparedQuery, resume []int, sb *sub, last *[]int) (st minesweeper.Stats, err error) {
+// runSubstream runs one shard's raw substream to the end, pushing
+// tuples into the gather channel. It is the substream's panic boundary:
+// a panicking engine is recovered here, counted per shard, and surfaced
+// as the substream's error.
+func (p *Prepared) runSubstream(cctx context.Context, s int, pq *minesweeper.PreparedQuery, ch chan<- []int) (st minesweeper.Stats, err error) {
+	ctr := &p.cat.counters[s]
+	ctr.runs.Add(1)
+	ctr.inflight.Add(1)
+	defer ctr.inflight.Add(-1)
 	defer func() {
 		if r := recover(); r != nil {
-			p.cat.counters[s].panics.Add(1)
-			err = &substreamError{shard: s, replica: rep, cause: fmt.Errorf("substream panic: %v", r)}
+			ctr.panics.Add(1)
+			err = fmt.Errorf("shard %d: substream panic: %v", s, r)
 		}
 	}()
-	ctr := &p.cat.counters[s]
-	n := 0
-	var ferr error
-	st, serr := pq.StreamRawContext(cctx, nil, func(t []int) bool {
-		if kill := p.cat.killHook; kill != nil {
-			if kerr := kill(s, rep, t); kerr != nil {
-				ferr = &substreamError{shard: s, replica: rep, cause: kerr, markDown: true}
-				return false
-			}
+	return pq.StreamRawContext(cctx, nil, func(t []int) bool {
+		if p.emitHook != nil {
+			p.emitHook(s)
 		}
-		if resume != nil && !lexAfter(t, resume) {
-			return true
-		}
-		if n%healthCheckEvery == 0 {
-			if h := p.cat.replicaHealth(s, rep); h != nil {
-				ferr = &substreamError{shard: s, replica: rep,
-					cause: fmt.Errorf("replica unhealthy: %w", h), markDown: true}
-				return false
-			}
-		}
-		n++
 		ctr.emitted.Add(1)
 		select {
-		case sb.ch <- t:
-			*last = t
+		case ch <- t:
 			return true
 		default:
 		}
@@ -549,35 +408,12 @@ func (p *Prepared) runSubstream(cctx context.Context, s, rep int, pq *minesweepe
 		ctr.queued.Add(1)
 		defer ctr.queued.Add(-1)
 		select {
-		case sb.ch <- t:
-			*last = t
+		case ch <- t:
 			return true
 		case <-cctx.Done():
 			return false
 		}
 	})
-	if ferr != nil {
-		return st, ferr
-	}
-	if serr != nil {
-		return st, &substreamError{shard: s, replica: rep, cause: serr, markDown: true}
-	}
-	return st, nil
-}
-
-// lexAfter reports t > last lexicographically. Raw rows of one
-// substream share an arity and are strictly increasing, so this is the
-// exact already-delivered test for resumed attempts.
-func lexAfter(t, last []int) bool {
-	for i := range t {
-		if i >= len(last) {
-			return true
-		}
-		if t[i] != last[i] {
-			return t[i] > last[i]
-		}
-	}
-	return false
 }
 
 // loserTree merges k ordered tuple streams. Internal nodes 1..k-1 hold

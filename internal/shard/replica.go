@@ -171,18 +171,6 @@ func (c *Catalog) rebound(q *minesweeper.Query, pinned uint64) (*minesweeper.Que
 	}), c.version
 }
 
-// markReplicaDown is the scatter executor's failure-detection entry:
-// a substream that found its replica dead mid-run marks it here, and
-// leadership moves if the dead replica was serving.
-func (c *Catalog) markReplicaDown(shard, replica int, cause error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.markDownLocked(shard, replica, cause)
-	if c.primary[shard] == replica {
-		c.promoteLocked(shard)
-	}
-}
-
 // replicaErrLocked reports why a replica cannot serve, nil when it can:
 // its down marker if set, else its catalog's health (which asks the
 // backend directly, so out-of-band poisoning — an injected sync failure
@@ -192,13 +180,6 @@ func (c *Catalog) replicaErrLocked(shard, replica int) error {
 		return err
 	}
 	return c.replicas[shard][replica].Healthy()
-}
-
-// replicaHealth is replicaErrLocked for a running substream.
-func (c *Catalog) replicaHealth(shard, replica int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.replicaErrLocked(shard, replica)
 }
 
 // shardDegradedLocked returns nil while the shard has at least one
@@ -303,8 +284,8 @@ func (c *Catalog) Degraded() error {
 }
 
 // DownReplicas lists every replica currently unable to serve — marked
-// down by failover/divergence/substream detection, or with a poisoned
-// backend — for the serving layer to reopen on independent schedules.
+// down by failover or divergence detection, or with a poisoned backend
+// — for the serving layer to reopen on independent schedules.
 func (c *Catalog) DownReplicas() []ReplicaRef {
 	c.mu.Lock()
 	defer c.mu.Unlock()
