@@ -36,9 +36,9 @@
 //
 // The data plane is always one owner of -shards N x -replicas R
 // (defaults 1 x 1): every relation is partitioned across N fragment
-// owners with scatter-gather execution, and every fragment kept in R
-// synchronous copies. With -data-dir it is durable: each copy has its
-// own directory (shard-<i>/replica-<j>/, routing in shards.json), every
+// owners with scatter-gather execution, and every fragment owner logs
+// to R synchronous replicas while holding its data in memory once.
+// With -data-dir it is durable: each replica has its own directory (shard-<i>/replica-<j>/, routing in shards.json), every
 // mutation is appended to a CRC-checked write-ahead log before it
 // applies, the log compacts into full snapshots as it grows, and a
 // restart — clean or not — recovers every relation (tuples, variable
@@ -46,11 +46,11 @@
 // query, replaying the WAL over the newest snapshot and truncating a
 // torn tail. Without -data-dir everything stays in memory.
 //
-// A replica whose storage poisons is failed over: mutations promote a
-// healthy follower, running queries finish on the in-memory fragments
-// they pinned (the stream stays byte-identical), and the background
-// reopen loop recovers each dead copy on an independent backoff
-// schedule while /readyz stays ready.
+// A replica whose storage poisons is failed over: mutations keep
+// logging to its healthy siblings, running queries finish on the
+// in-memory fragments they pinned (the stream stays byte-identical),
+// and the background reopen loop recovers each dead replica on an
+// independent backoff schedule while /readyz stays ready.
 //
 // The serving plane defends itself: -max-runs/-max-mutations bound the
 // concurrent work admitted (the overflow queue is capped at
@@ -90,7 +90,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long in-flight streams may drain at shutdown")
 	fsync := flag.Bool("fsync", false, "with -data-dir: fsync the WAL on every mutation (safer, slower)")
 	shards := flag.Int("shards", 1, "partition relations across N goroutine-owned shards with scatter-gather execution (with -data-dir: one WAL directory per shard)")
-	replicas := flag.Int("replicas", 1, "keep R synchronous copies of every shard fragment; a poisoned primary fails over to a healthy follower on the next mutation")
+	replicas := flag.Int("replicas", 1, "log every shard to R synchronous replicas (its data stays in memory once); a poisoned replica is failed over on the next mutation")
 	cfg := defaultServerConfig()
 	flag.IntVar(&cfg.maxRuns, "max-runs", cfg.maxRuns, "max concurrent query executions (<=0 unlimited)")
 	flag.IntVar(&cfg.maxMutations, "max-mutations", cfg.maxMutations, "max concurrent catalog mutations (<=0 unlimited)")

@@ -83,7 +83,7 @@ type reopenTarget struct {
 // downReplicaTargets is the reopen policy of every durable
 // configuration: each replica the catalog reports down — a poisoned
 // 1 x 1 store shows up as shard-0/replica-0 — is reopened on a fresh
-// backend from open and resynced from the shard's serving memory.
+// backend from open and the shard's in-memory state compacted into it.
 func downReplicaTargets(sc *shard.Catalog, open func(shard, replica int) (storage.Backend, error)) func() []reopenTarget {
 	return func() []reopenTarget {
 		var out []reopenTarget
@@ -963,9 +963,7 @@ func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registere
 	// A plan holds its relations by pointer, so it survives a catalog
 	// Drop — but serving from a dropped (or dropped-and-recreated)
 	// relation would silently return stale data forever. Refuse instead:
-	// the caller must re-register against the current catalog. The check
-	// follows the Refresh because a leadership move also changes which
-	// object a relation is, and the refreshed plan has followed it.
+	// the caller must re-register against the current catalog.
 	for _, rel := range pq.Relations() {
 		if cur, ok := s.cat.Get(rel.Name()); !ok || cur != rel {
 			httpError(w, http.StatusGone, "relation %q was dropped or replaced since the query was built; re-register it", rel.Name())
@@ -1209,7 +1207,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// (queued > 0 marks a hot shard whose substream outpaces the merge),
 	// substream panics (each ended its run with an error), data volume
 	// and per-shard storage health. Reads never fail over, so failovers
-	// counts write-path leadership moves only.
+	// counts write-path moves of a shard's primary replica only.
 	sh := s.cat.ShardStats()
 	body["shards"] = sh
 	var panics int64

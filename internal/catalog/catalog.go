@@ -8,17 +8,19 @@
 // one-shot library into a long-lived service.
 //
 // Since the data/compute-plane split, the catalog is a thin naming and
-// versioning layer over a storage.Backend: every mutation — Create,
-// Drop, Insert, Delete, Replace, the Load replace path, and the named
-// prepared-query definitions — is framed as a storage.Record and
-// appended to the backend's log *before* it touches the in-memory
-// relation, so a catalog opened over a durable backend recovers every
-// relation (tuples, default variable binding, mutation epoch) and every
-// query definition after a crash. The in-memory behavior is the
-// storage.Mem backend; indexes are never persisted — recovery rebuilds
-// them lazily through the same epoch machinery that serves live
-// mutations, so the warm-path invariants (zero reltree builds on warm
-// re-execution) hold identically over both backends.
+// versioning layer over one or more storage.Backend members: every
+// mutation — Create, Drop, Insert, Delete, Replace, the Load replace
+// path, and the named prepared-query definitions — is framed as a
+// storage.Record and appended to the members' logs *before* it touches
+// the in-memory relation, so a catalog opened over durable backends
+// recovers every relation (tuples, default variable binding, mutation
+// epoch) and every query definition after a crash. Replication is a
+// property of the log, not of the relations: R members are R logs of
+// one in-memory copy. The in-memory behavior is the storage.Mem
+// backend; indexes are never persisted — recovery rebuilds them lazily
+// through the same epoch machinery that serves live mutations, so the
+// warm-path invariants (zero reltree builds on warm re-execution) hold
+// identically over both backends.
 //
 // Each relation carries a default variable binding (its relio header),
 // so textual queries such as "R(A,B), S(B,C)" resolve against the
@@ -30,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"sync"
 
@@ -39,12 +42,12 @@ import (
 	"minesweeper/internal/storage"
 )
 
-// ErrReadOnly marks a catalog in degraded read-only mode: the storage
-// backend was poisoned by a write failure, so mutations are refused
-// (nothing may be applied in memory that is not durably logged first)
-// while reads and query execution keep working. The mode is left by
-// opening a fresh catalog over the store (shard.Catalog.ReopenReplica
-// does that in place) or a process restart.
+// ErrReadOnly marks a catalog in degraded read-only mode: no log member
+// can take records any more (each was poisoned by a write failure or
+// left behind by its siblings), so mutations are refused (nothing may
+// be applied in memory that is not durably logged first) while reads
+// and query execution keep working. The mode is left by reopening a
+// member in place (ReopenMember) or a process restart.
 var ErrReadOnly = errors.New("catalog: read-only: storage backend is poisoned")
 
 // entry pairs a relation with its default variable binding.
@@ -63,18 +66,24 @@ type Info struct {
 }
 
 // Catalog is a named, mutable set of relations plus the registered
-// prepared-query definitions, safe for concurrent use, persisted
-// through a storage.Backend. The zero value is not usable; call New or
-// Open.
+// prepared-query definitions, safe for concurrent use, held once in
+// memory and logged to R storage.Backend members. A mutation is durable
+// once at least one live member has accepted its record; a member that
+// failed to take a record a sibling accepted is marked down and takes
+// no further records until ReopenMember. The in-memory relation objects
+// never change identity over member failures and reopens. The zero
+// value is not usable; call New or Open.
 type Catalog struct {
 	mu      sync.RWMutex
-	backend storage.Backend
-	rels    map[string]*entry
-	queries map[string]storage.QueryDef
-	// degraded is non-nil while the catalog is in read-only mode: the
-	// backend poisoned itself on a write failure, so every mutation is
-	// refused with ErrReadOnly from then on.
-	degraded error
+	members []storage.Backend
+	// down[j] is non-nil once member j missed a record a sibling
+	// accepted (the first cause is kept). A member whose backend
+	// poisoned itself is down through its own Healthy as well.
+	down      []error
+	primary   int   // the member whose counters StorageStats reports
+	failovers int64 // times primary moved off a failed member
+	rels      map[string]*entry
+	queries   map[string]storage.QueryDef
 }
 
 // New returns an empty catalog over the in-memory backend — the
@@ -88,21 +97,49 @@ func New() *Catalog {
 	return c
 }
 
-// Open recovers a catalog from the given backend: relations come back
+// Open recovers a catalog from its log members: relations come back
 // with their tuples, default variable bindings and mutation epochs;
 // prepared-query definitions are available from QueryDefs for the
 // serving layer to re-register (and re-plan) against the recovered
 // data. Indexes are not persisted — the first execution that needs one
 // builds it lazily.
-func Open(b storage.Backend) (*Catalog, error) {
-	state, err := b.Recover()
-	if err != nil {
-		return nil, err
+//
+// With several members the furthest-along recovered state wins (see
+// stateScore) and the relations are built once from it; a member whose
+// relation set, epochs or query definitions differ from the winner's
+// is brought to it by compacting the winner into its log, or marked
+// down if that fails. The primary is the lowest-index live member.
+// Closing the members when Open fails is the caller's job.
+func Open(members ...storage.Backend) (*Catalog, error) {
+	if len(members) == 0 {
+		return nil, errors.New("catalog: no storage member")
 	}
+	states := make([]*storage.State, len(members))
+	win := 0
+	for j, b := range members {
+		st, err := b.Recover()
+		if err != nil {
+			return nil, fmt.Errorf("catalog: member %d: %w", j, err)
+		}
+		states[j] = st
+		if scoreState(st).beats(scoreState(states[win])) {
+			win = j
+		}
+	}
+	state := states[win]
 	c := &Catalog{
-		backend: b,
+		members: members,
+		down:    make([]error, len(members)),
 		rels:    make(map[string]*entry, len(state.Relations)),
 		queries: make(map[string]storage.QueryDef, len(state.Queries)),
+	}
+	for j, st := range states {
+		if !inSync(st, state) {
+			c.down[j] = members[j].Compact(state)
+		}
+	}
+	for c.primary < len(members)-1 && c.memberErrLocked(c.primary) != nil {
+		c.primary++
 	}
 	for i := range state.Relations {
 		rs := &state.Relations[i]
@@ -152,37 +189,159 @@ func CheckNew(name string, vars []string) error {
 	return nil
 }
 
-// appendLocked logs one mutation record; callers hold c.mu and apply
-// the mutation in memory only when it returns nil. A failure that
-// poisons the backend flips the catalog into degraded read-only mode:
-// this mutation (and every later one, short-circuited here) fails
-// with ErrReadOnly, while reads and query execution continue — the
-// in-memory state is exactly the durably logged prefix, so serving it
-// is safe.
-func (c *Catalog) appendLocked(rec *storage.Record) error {
-	if c.degraded != nil {
-		return fmt.Errorf("%w (%v)", ErrReadOnly, c.degraded)
-	}
-	err := c.backend.Append(rec)
-	if err != nil {
-		if herr := c.backend.Healthy(); herr != nil {
-			c.degraded = herr
-			return fmt.Errorf("%w (%v)", ErrReadOnly, err)
-		}
-	}
-	return err
+// stateScore ranks a recovered member state for the open-time
+// election: epoch sum first (the furthest-along mutation history), then
+// relation and tuple counts as tie-breaks so an empty new member
+// directory never outranks real data.
+type stateScore struct {
+	epochs uint64
+	rels   int
+	tuples int
 }
 
-// maybeCompactLocked rotates the log into a fresh snapshot when it has
-// outgrown the previous one. Compaction failure is deliberately soft:
-// the mutation that triggered it is already durable in the WAL, the
-// backend records the error in its Stats, and the next mutation
-// retries.
-func (c *Catalog) maybeCompactLocked() {
-	if !c.backend.ShouldCompact() {
+func (s stateScore) beats(o stateScore) bool {
+	if s.epochs != o.epochs {
+		return s.epochs > o.epochs
+	}
+	if s.rels != o.rels {
+		return s.rels > o.rels
+	}
+	return s.tuples > o.tuples
+}
+
+func scoreState(st *storage.State) stateScore {
+	s := stateScore{rels: len(st.Relations)}
+	for i := range st.Relations {
+		s.epochs += st.Relations[i].Epoch
+		s.tuples += len(st.Relations[i].Tuples)
+	}
+	return s
+}
+
+// inSync reports whether a recovered member state already matches the
+// elected one: the same relations at the same epochs and the same query
+// definitions. Recovered states are sorted by name.
+func inSync(st, win *storage.State) bool {
+	if len(st.Relations) != len(win.Relations) || len(st.Queries) != len(win.Queries) {
+		return false
+	}
+	for i := range st.Relations {
+		if st.Relations[i].Name != win.Relations[i].Name || st.Relations[i].Epoch != win.Relations[i].Epoch {
+			return false
+		}
+	}
+	for i := range st.Queries {
+		if !reflect.DeepEqual(st.Queries[i], win.Queries[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// memberErrLocked reports why member j cannot take records, nil when it
+// can: its down marker, else its backend's own health (so out-of-band
+// poisoning — a failed explicit Sync, an injected fault — counts too).
+func (c *Catalog) memberErrLocked(j int) error {
+	if err := c.down[j]; err != nil {
+		return err
+	}
+	return c.members[j].Healthy()
+}
+
+// healthLocked is nil while any member is live, else the first
+// member's failure.
+func (c *Catalog) healthLocked() error {
+	var first error
+	for j := range c.members {
+		err := c.memberErrLocked(j)
+		if err == nil {
+			return nil
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// followLocked keeps the primary sticky: only when it cannot take
+// records does it move to the next live member, counted as a failover.
+func (c *Catalog) followLocked() {
+	if c.memberErrLocked(c.primary) == nil {
 		return
 	}
-	c.backend.Compact(c.stateLocked())
+	for k := 1; k < len(c.members); k++ {
+		if j := (c.primary + k) % len(c.members); c.memberErrLocked(j) == nil {
+			c.primary = j
+			c.failovers++
+			return
+		}
+	}
+}
+
+// appendLocked logs one mutation record to every live member; callers
+// hold c.mu and apply the mutation in memory only when it returns nil,
+// which it does once any member has accepted the record. Members that
+// failed to take it are then marked down, since their logs now lack a
+// mutation the catalog applies. If no member accepts, nothing is
+// applied and no member is blamed: the error is returned as is, or —
+// when no live member is left, because each poisoned itself — as
+// ErrReadOnly. From then on every mutation is refused with ErrReadOnly
+// while reads and query execution continue: the in-memory state is
+// exactly the durably logged prefix, so serving it is safe.
+func (c *Catalog) appendLocked(rec *storage.Record) error {
+	var errs []error // per member, made on the first failure
+	var first error
+	accepted := false
+	for j, b := range c.members {
+		if c.memberErrLocked(j) != nil {
+			continue
+		}
+		err := b.Append(rec)
+		if err == nil {
+			accepted = true
+			continue
+		}
+		if errs == nil {
+			errs, first = make([]error, len(c.members)), err
+		}
+		errs[j] = err
+	}
+	if !accepted {
+		herr := c.healthLocked()
+		if herr == nil {
+			return first
+		}
+		if first == nil {
+			first = herr // no member was live to try
+		}
+		return fmt.Errorf("%w (%v)", ErrReadOnly, first)
+	}
+	for j, err := range errs {
+		if err != nil && c.down[j] == nil {
+			c.down[j] = err
+		}
+	}
+	c.followLocked()
+	return nil
+}
+
+// maybeCompactLocked rotates each member's log into a fresh snapshot
+// when it has outgrown the previous one. Compaction failure is
+// deliberately soft: the mutation that triggered it is already durable
+// in the WAL, the backend records the error in its Stats, and the next
+// mutation retries.
+func (c *Catalog) maybeCompactLocked() {
+	var st *storage.State
+	for j, b := range c.members {
+		if c.down[j] != nil || !b.ShouldCompact() {
+			continue
+		}
+		if st == nil {
+			st = c.stateLocked()
+		}
+		b.Compact(st)
+	}
 }
 
 // stateLocked renders the full catalog as a storage.State. Tuple rows
@@ -543,78 +702,107 @@ func (c *Catalog) QueryDefs() []storage.QueryDef {
 
 // --- backend plumbing -------------------------------------------------
 
-// Degraded reports whether the catalog is in read-only mode, returning
-// the backend failure that caused it (nil when healthy).
-func (c *Catalog) Degraded() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.degraded
-}
-
 // Healthy reports whether the catalog can accept mutations: nil while
-// the backend is appendable, the poisoning failure otherwise. It is
-// stricter than Degraded — a backend can poison itself outside the
-// catalog's own append path (a failed explicit Sync, an injected
-// fault), which Degraded only notices on the next mutation; Healthy
-// asks the backend directly.
+// any member is live, the first member's failure otherwise. It asks
+// the backends directly, so a member that poisoned itself outside the
+// append path (a failed explicit Sync, an injected fault) counts as
+// failed before the next mutation finds out.
 func (c *Catalog) Healthy() error {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.degraded != nil {
-		return c.degraded
-	}
-	return c.backend.Healthy()
+	return c.healthLocked()
 }
 
-// Restore force-writes one relation at an exact epoch: an existing
-// relation of the name is dropped first, then the relation is created
-// with the given binding, tuples and epoch stamp. Both steps are logged
-// (the WAL create record carries the epoch, exactly as snapshot
-// records do), so a restored catalog recovers identically. This is the
-// replica-resync primitive: a follower rebuilt from an empty or stale
-// store is brought to the leader's exact state, epoch included, so
-// divergence checks on later mutations hold.
-func (c *Catalog) Restore(name string, vars []string, epoch uint64, tuples [][]int) error {
+// Member describes one log member: whether it is the primary, why it
+// cannot take records (nil while live), and its backend's counters.
+type Member struct {
+	Primary bool
+	Err     error
+	Storage storage.Stats
+}
+
+// Members describes every log member, in order.
+func (c *Catalog) Members() []Member {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]Member, len(c.members))
+	for j, b := range c.members {
+		out[j] = Member{Primary: j == c.primary, Err: c.memberErrLocked(j), Storage: b.Stats()}
+	}
+	return out
+}
+
+// Primary returns the index of the primary member.
+func (c *Catalog) Primary() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.primary
+}
+
+// Failovers returns how many times the primary moved off a failed
+// member.
+func (c *Catalog) Failovers() int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.failovers
+}
+
+// ReopenMember restarts member j on a fresh backend. The old backend is
+// closed before open runs (two durable backends over one directory
+// would fight over its files); the new one is recovered and the
+// in-memory state — exactly the mutation prefix the live members hold —
+// is compacted into it, so it rejoins in sync, as a follower, whatever
+// its log held. Reopening the last failed member leaves read-only mode.
+// The catalog stays locked throughout, open included: a mutation waits
+// instead of meeting a closed member (which, with one member, would
+// fail it), and two reopens never share a directory. Nothing in memory
+// is rebuilt, so relation objects and the runs reading them are
+// untouched. On failure the member stays down.
+func (c *Catalog) ReopenMember(j int, open func() (storage.Backend, error)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rel, err := minesweeper.NewRelation(name, len(vars), tuples)
-	if err != nil {
-		return err
+	if j < 0 || j >= len(c.members) {
+		return fmt.Errorf("catalog: no member %d", j)
 	}
-	if err := rel.RestoreEpoch(epoch); err != nil {
-		return err
-	}
-	if e, ok := c.rels[name]; ok {
-		if err := c.appendLocked(&storage.Record{Op: storage.OpDrop, Name: name, Epoch: e.rel.Epoch()}); err != nil {
-			return err
+	c.members[j].Close()
+	b, err := open()
+	if err == nil {
+		if _, err = b.Recover(); err == nil {
+			err = b.Compact(c.stateLocked())
 		}
-		delete(c.rels, name)
+		if err != nil {
+			b.Close()
+		}
 	}
-	if err := c.appendLocked(&storage.Record{Op: storage.OpCreate, Name: name, Epoch: epoch, Vars: vars, Tuples: tuples}); err != nil {
+	if err != nil {
+		if c.down[j] == nil {
+			c.down[j] = err
+		}
 		return err
 	}
-	c.rels[name] = &entry{rel: rel, vars: append([]string(nil), vars...)}
-	c.maybeCompactLocked()
+	c.members[j], c.down[j] = b, nil
+	c.followLocked()
 	return nil
 }
 
-// Sync flushes the storage backend's log to stable storage.
-func (c *Catalog) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.backend.Sync()
-}
-
-// Close syncs and releases the storage backend. The catalog must not be
+// Close syncs and releases every member. The catalog must not be
 // mutated afterwards.
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.backend.Close()
+	var first error
+	for _, b := range c.members {
+		if err := b.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
-// StorageStats returns the backend's counters (WAL records and bytes,
-// snapshots, recovery outcome).
+// StorageStats returns the primary member's counters (WAL records and
+// bytes, snapshots, recovery outcome).
 func (c *Catalog) StorageStats() storage.Stats {
-	return c.backend.Stats()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.members[c.primary].Stats()
 }

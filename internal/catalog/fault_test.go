@@ -288,8 +288,8 @@ func TestFaultSweepCompactionFailSoft(t *testing.T) {
 	if f.Injected() == 0 {
 		t.Fatal("no compaction fault fired; threshold too high for the script")
 	}
-	if err := cat.Degraded(); err != nil {
-		t.Fatalf("Degraded() = %v after fail-soft compaction faults, want nil", err)
+	if err := cat.Healthy(); err != nil {
+		t.Fatalf("Healthy() = %v after fail-soft compaction faults, want nil", err)
 	}
 	cat.Close()
 

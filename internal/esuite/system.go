@@ -391,9 +391,9 @@ func shardedRead(shards int, expr string, data func() []shardedRel) func(Scale) 
 	}
 }
 
-// replicatedInsert measures the synchronous write fan-out: one
-// insert+delete pair per run against a 4-shard catalog at the given
-// replica count.
+// replicatedInsert measures a replicated write: one insert+delete pair
+// per run against a 4-shard catalog logging to the given number of
+// replicas.
 func replicatedInsert(replicas int) func(Scale) (*Instance, error) {
 	return func(Scale) (*Instance, error) {
 		c := shard.NewReplicated(4, replicas)
@@ -420,11 +420,11 @@ func replicatedInsert(replicas int) func(Scale) (*Instance, error) {
 func sharding() *Experiment {
 	e := &Experiment{
 		ID: "E15", Key: "sharded",
-		Title: "Sharded scaling: scatter-gather reads at 1/2/4/8 shards, replicated writes at 1/2/3 copies",
+		Title: "Sharded scaling: scatter-gather reads at 1/2/4/8 shards, replicated writes at 1/2/3 replicas",
 		Claim: "shards=1 is the gathered no-merge baseline; the slope against 2/4/8 is what the " +
 			"per-tuple channel + loser-tree pipeline costs on one core and what the fan-out " +
-			"buys on several. replicas=1 is the no-fan-out write baseline; the slope is the " +
-			"per-copy apply + divergence check.",
+			"buys on several. replicas=1 is the one-log write baseline; the slope is the " +
+			"per-replica log append (the mutation applies in memory once at any count).",
 	}
 	// E1's power-law path join and E12's heavy-enumeration skew join
 	// (per-shard probe work dominates emission).

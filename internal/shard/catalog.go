@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"weak"
 
 	minesweeper "minesweeper"
 	"minesweeper/internal/catalog"
@@ -51,53 +50,40 @@ type ShardStat struct {
 }
 
 // Catalog is the serving tier's one data owner: N per-shard fragment
-// sets, each carried by R replicas (every replica a full
-// catalog.Catalog over its own storage.Backend and WAL directory), and
-// every relation whole for parses, reads and plans — a query is built
-// against whole relations, fragments serve scatter execution and
-// durability. One shard, one replica and the memory backend are
-// parameters (New, NewReplicated), not other types.
+// sets, each one catalog.Catalog held once in memory and logged to R
+// replica members (a storage.Backend and WAL directory each), and every
+// relation whole for parses, reads and plans — a query is built against
+// whole relations, fragments serve scatter execution and durability.
+// One shard, one replica and the memory backend are parameters (New,
+// NewReplicated), not other types.
 //
 // With several shards the whole relations live in a gathered in-memory
 // copy (view) that every mutation is also applied to. With one shard a
 // gather of one fragment is that fragment, so there is no copy: shard
-// 0's serving replica is read in place, and a leadership move — a
-// failover, or a reopen of the serving replica — changes which
-// *Relation a name resolves to (see movedLocked).
+// 0's catalog is read in place. Either way a tuple lives in memory once
+// per copy, never once per replica, and no relation object changes
+// identity when a replica fails or is reopened.
 //
-// Mutations route tuples by each relation's Partition, log-then-apply
-// on the shard's primary replica first, then synchronously fan out to
-// the healthy followers with a divergence check on the mutated
-// relation's epoch stamp. A primary whose store is poisoned is marked
-// down and a healthy follower is promoted in its place — the mutation
-// retries there, so a single replica failure never flips the shard
-// read-only. Failover is a write-path event only: a scattered run
-// streams the fragment objects its plan bound, which no storage fault
-// can change, so reads never fail over mid-stream; plans pick a
-// healthy replica per shard when they are built.
+// Mutations route tuples by each relation's Partition; each shard's
+// catalog logs the record to its live replicas and applies it once.
+// A replica that fails to take a record its siblings accepted is
+// marked down and, if it was the primary, the next live one takes its
+// place — so a single replica failure never flips the shard read-only.
+// Failover is a write-path event only: a scattered run streams the
+// fragment objects its plan bound, which no storage fault can change.
 type Catalog struct {
 	n   int
 	r   int
 	dir string // "" for in-memory
 
-	// mu serializes mutations, replica-set changes and partition
-	// changes.
+	// mu serializes mutations and partition changes, and runs pin
+	// their plans under it (see Prepared.StreamContextExplained).
 	mu       sync.Mutex
-	replicas [][]*catalog.Catalog // [shard][replica]
-	primary  []int                // serving replica per shard
-	down     [][]error            // non-nil marks a failed replica
-	view     *catalog.Catalog     // gathered copy; nil with one shard
+	shards   []*catalog.Catalog
+	view     *catalog.Catalog // gathered copy; nil with one shard
 	parts    map[string]Partition
-	version  uint64 // bumped on parts/replica-set changes; plans pin it
+	version  uint64 // bumped on parts changes; plans pin it
 	counters []shardCounters
-	// lineage ties together the successive *Relation objects one whole
-	// relation has been served from across leadership moves (one shard
-	// only; the gathered copy never changes identity). Keys are weak so
-	// a superseded leader's copy of the data is not kept alive.
-	lineage  map[weak.Pointer[minesweeper.Relation]]uint64
-	lineages uint64
-
-	failovers atomic.Int64
 }
 
 func newCatalog(shards, replicas int, dir string) *Catalog {
@@ -106,19 +92,12 @@ func newCatalog(shards, replicas int, dir string) *Catalog {
 		n:        shards,
 		r:        replicas,
 		dir:      dir,
-		replicas: make([][]*catalog.Catalog, shards),
-		primary:  make([]int, shards),
-		down:     make([][]error, shards),
+		shards:   make([]*catalog.Catalog, shards),
 		parts:    make(map[string]Partition),
 		counters: make([]shardCounters, shards),
-		lineage:  make(map[weak.Pointer[minesweeper.Relation]]uint64),
 	}
 	if shards > 1 {
 		c.view = catalog.New()
-	}
-	for i := range c.replicas {
-		c.replicas[i] = make([]*catalog.Catalog, replicas)
-		c.down[i] = make([]error, replicas)
 	}
 	return c
 }
@@ -127,43 +106,32 @@ func newCatalog(shards, replicas int, dir string) *Catalog {
 // shard).
 func New(shards int) *Catalog { return NewReplicated(shards, 1) }
 
-// NewReplicated returns an in-memory catalog with R replicas per
-// shard. Without durable backends a down replica cannot be
-// reopened from disk, but failover, fan-out and divergence checks
-// behave exactly as over durable stores.
+// NewReplicated returns an in-memory catalog with R memory replicas
+// per shard.
 func NewReplicated(shards, replicas int) *Catalog {
 	c := newCatalog(shards, replicas, "")
-	for i := range c.replicas {
-		for j := range c.replicas[i] {
-			c.replicas[i][j] = catalog.New()
+	for i := range c.shards {
+		members := make([]storage.Backend, c.r)
+		for j := range members {
+			members[j] = storage.NewMem()
 		}
+		c.shards[i], _ = catalog.Open(members...) // memory recovery cannot fail
 	}
 	return c
 }
 
-// wholeLocked returns the catalog holding every relation whole: the
-// gathered copy, or — with one shard, where a gather of one fragment is
-// that fragment — shard 0's serving replica. Callers hold c.mu.
-func (c *Catalog) wholeLocked() *catalog.Catalog {
+// whole returns the catalog holding every relation whole: the gathered
+// copy, or — with one shard, where a gather of one fragment is that
+// fragment — shard 0's catalog. Both are set once at construction.
+func (c *Catalog) whole() *catalog.Catalog {
 	if c.view == nil {
-		return c.leaderLocked(0)
+		return c.shards[0]
 	}
 	return c.view
 }
 
-// whole is wholeLocked for readers. Only the leadership lookup needs
-// c.mu — the gathered copy is set once at construction — so with
-// several shards a read never waits behind a mutation holding it.
-func (c *Catalog) whole() *catalog.Catalog {
-	if c.view == nil {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	return c.wholeLocked()
-}
-
 // rebuildViewLocked resynchronizes the gathered copy of one relation
-// with the union of its primary fragments — the generic repair after a
+// with the union of its fragments — the generic repair after a
 // mutation applied to only part of the shard set. One shard has no
 // copy to repair.
 func (c *Catalog) rebuildViewLocked(name string) {
@@ -177,18 +145,17 @@ func (c *Catalog) rebuildViewLocked(name string) {
 	c.view.Drop(name)
 }
 
-// gatherLocked unions the primaries' fragments of one relation: its
+// gatherLocked unions the shards' fragments of one relation: its
 // default binding (nil when no shard has it), every row, and the sum of
 // the fragment epochs.
 func (c *Catalog) gatherLocked(name string) (vars []string, tuples [][]int, epochs uint64) {
-	for i := range c.replicas {
-		lead := c.leaderLocked(i)
-		rel, ok := lead.Get(name)
+	for _, cc := range c.shards {
+		rel, ok := cc.Get(name)
 		if !ok {
 			continue
 		}
 		if vars == nil {
-			vars, _ = lead.Vars(name)
+			vars, _ = cc.Vars(name)
 		}
 		tuples = append(tuples, rel.Tuples()...)
 		epochs += rel.Epoch()
@@ -212,25 +179,43 @@ func (c *Catalog) PartitionOf(name string) (Partition, bool) {
 	return p, ok
 }
 
-// mutation is one catalog mutation over a tuple batch: a replica gets
-// its shard's bucket, the gathered copy the whole batch.
+// mutation is one catalog mutation over a tuple batch: a shard's
+// catalog gets its bucket, the gathered copy the whole batch.
 type mutation func(cc *catalog.Catalog, tuples [][]int) (catalog.Info, error)
 
 // fragmentsLocked applies op to every shard with work — a non-empty
 // bucket, or any bucket when all is set (mutations that rewrite or
 // remove the relation touch every fragment); an empty batch still goes
-// to shard 0 so the no-op answers — primary first, then fan-out. It
-// returns the Info of the last shard touched.
-func (c *Catalog) fragmentsLocked(name string, tuples [][]int, buckets [][][]int, all bool, op mutation) (info catalog.Info, err error) {
+// to shard 0 so the no-op answers. It returns the Info of the last
+// shard touched.
+func (c *Catalog) fragmentsLocked(tuples [][]int, buckets [][][]int, all bool, op mutation) (info catalog.Info, err error) {
 	for i, b := range buckets {
 		if len(b) == 0 && !all && (i > 0 || len(tuples) > 0) {
 			continue
 		}
-		if info, err = c.applyShardLocked(i, name, func(cc *catalog.Catalog) (catalog.Info, error) { return op(cc, b) }); err != nil {
-			return catalog.Info{}, err
+		if info, err = op(c.shards[i], b); err != nil {
+			return catalog.Info{}, c.shardErr(i, err)
 		}
 	}
 	return info, nil
+}
+
+// shardErr marks a mutation shard i could not log on any replica: with
+// no live replica left the shard is read-only, and the error (which
+// then wraps catalog.ErrReadOnly) names it.
+func (c *Catalog) shardErr(i int, err error) error {
+	if err != nil && c.shards[i].Healthy() != nil {
+		return fmt.Errorf("shard %d: no healthy replica: %w", i, err)
+	}
+	return err
+}
+
+// degraded is nil while shard i has a live replica.
+func (c *Catalog) degraded(i int) error {
+	if err := c.shards[i].Healthy(); err != nil {
+		return fmt.Errorf("shard %d: no healthy replica: %w", i, err)
+	}
+	return nil
 }
 
 // routeLocked applies op to the fragments (fragmentsLocked) and then,
@@ -238,7 +223,7 @@ func (c *Catalog) fragmentsLocked(name string, tuples [][]int, buckets [][][]int
 // relation's post-mutation Info. With one shard the fragment just
 // mutated is the whole relation, so its Info is the answer.
 func (c *Catalog) routeLocked(name string, tuples [][]int, buckets [][][]int, all bool, op mutation) (catalog.Info, error) {
-	info, err := c.fragmentsLocked(name, tuples, buckets, all, op)
+	info, err := c.fragmentsLocked(tuples, buckets, all, op)
 	if err != nil || c.view == nil {
 		return info, err
 	}
@@ -249,7 +234,7 @@ func (c *Catalog) routeLocked(name string, tuples [][]int, buckets [][][]int, al
 // the batch against it before any tuple is routed: routing indexes into
 // tuples by the partition column, so arity and domain must hold first.
 func (c *Catalog) lookupLocked(name string, tuples [][]int) (*minesweeper.Relation, error) {
-	rel, ok := c.wholeLocked().Get(name)
+	rel, ok := c.whole().Get(name)
 	if !ok {
 		return nil, fmt.Errorf("catalog: unknown relation %q", name)
 	}
@@ -277,15 +262,14 @@ func (c *Catalog) rewriteLocked(name string, p Partition, tuples [][]int, op mut
 }
 
 // Create splits the tuples under a planner-chosen partition and creates
-// the owning fragment on every shard (all replicas); it returns the
-// whole relation.
+// the owning fragment on every shard; it returns the whole relation.
 func (c *Catalog) Create(name string, vars []string, tuples [][]int) (*minesweeper.Relation, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := catalog.CheckNew(name, vars); err != nil {
 		return nil, err
 	}
-	if _, dup := c.wholeLocked().Get(name); dup {
+	if _, dup := c.whole().Get(name); dup {
 		return nil, fmt.Errorf("catalog: relation %q already exists", name)
 	}
 	if err := catalog.CheckTuples(name, len(vars), tuples); err != nil {
@@ -304,37 +288,31 @@ func (c *Catalog) Create(name string, vars []string, tuples [][]int) (*minesweep
 	if err := c.writeManifest(); err != nil {
 		return nil, err
 	}
-	rel, _ := c.wholeLocked().Get(name)
+	rel, _ := c.whole().Get(name)
 	return rel, nil
 }
 
 // dropEverywhereLocked rolls a partially created relation back off
-// every healthy replica (best effort — failures just leave a dangling
-// fragment that recovery's resync will reconcile).
+// every shard (best effort — a failure just leaves a dangling fragment,
+// which recovery gathers and repartitions).
 func (c *Catalog) dropEverywhereLocked(name string) {
-	for i := range c.replicas {
-		for j, cc := range c.replicas[i] {
-			if c.down[i][j] != nil {
-				continue
-			}
-			if _, ok := cc.Get(name); ok {
-				cc.Drop(name)
-			}
+	for _, cc := range c.shards {
+		if _, ok := cc.Get(name); ok {
+			cc.Drop(name)
 		}
 	}
 }
 
 // mutate is Insert and Delete: validate the batch, route it to the
-// owning fragments by the relation's partition, apply per shard
-// (primary first, fan-out to followers) and to the gathered copy. It
-// returns the whole relation's tuple count before and Info after. A
-// relation left unpartitioned by a partial replace failure is excluded
-// from scatter until recovery repartitions it, so placement is free:
-// inserts park on shard 0, deletes broadcast to every shard (correct
-// under any placement). On a shard-wide failure the gathered copy is
-// rebuilt from the fragments so reads stay consistent with what was
-// durably applied; the colocation invariant is unaffected (every
-// applied copy was routed).
+// owning fragments by the relation's partition, apply per shard and to
+// the gathered copy. It returns the whole relation's tuple count before
+// and Info after. A relation left unpartitioned by a partial replace
+// failure is excluded from scatter until recovery repartitions it, so
+// placement is free: inserts park on shard 0, deletes broadcast to
+// every shard (correct under any placement). On a shard-wide failure
+// the gathered copy is rebuilt from the fragments so reads stay
+// consistent with what was durably applied; the colocation invariant
+// is unaffected (every applied copy was routed).
 func (c *Catalog) mutate(name string, tuples [][]int, broadcast bool, op mutation) (int, catalog.Info, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -389,7 +367,7 @@ func (c *Catalog) Replace(name string, tuples [][]int) (catalog.Info, error) {
 	if _, err := c.lookupLocked(name, tuples); err != nil {
 		return catalog.Info{}, err
 	}
-	vars, _ := c.wholeLocked().Vars(name)
+	vars, _ := c.whole().Vars(name)
 	return c.rewriteLocked(name, choosePartition(vars, tuples, c.n), tuples, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
 		return cc.Replace(name, b)
 	})
@@ -418,9 +396,9 @@ func (c *Catalog) ForcePartition(name string, p Partition) error {
 			return fmt.Errorf("shard: range splits must be strictly increasing")
 		}
 	}
-	vars, _ := c.wholeLocked().Vars(name)
+	vars, _ := c.whole().Vars(name)
 	tuples := rel.Tuples()
-	_, err = c.fragmentsLocked(name, tuples, p.split(tuples, c.n), true, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
+	_, err = c.fragmentsLocked(tuples, p.split(tuples, c.n), true, func(cc *catalog.Catalog, b [][]int) (catalog.Info, error) {
 		return cc.CreateOrReplace(name, vars, b)
 	})
 	if err != nil {
@@ -467,7 +445,7 @@ func (c *Catalog) Load(r io.Reader, source string) (catalog.Info, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if rel, exists := c.wholeLocked().Get(parsed.Name); exists && rel.Arity() != len(parsed.Vars) {
+	if rel, exists := c.whole().Get(parsed.Name); exists && rel.Arity() != len(parsed.Vars) {
 		return catalog.Info{}, fmt.Errorf("catalog: relation %q exists with arity %d, load has arity %d (drop it first)",
 			parsed.Name, rel.Arity(), len(parsed.Vars))
 	}
@@ -484,21 +462,9 @@ func (c *Catalog) Load(r io.Reader, source string) (catalog.Info, error) {
 // relations; fragments surface only through scatter.
 func (c *Catalog) Get(name string) (*minesweeper.Relation, bool) { return c.whole().Get(name) }
 
-// Fragment returns the primary replica's fragment of the relation on
-// one shard.
+// Fragment returns the relation's fragment on one shard.
 func (c *Catalog) Fragment(shard int, name string) (*minesweeper.Relation, bool) {
-	c.mu.Lock()
-	cc := c.leaderLocked(shard)
-	c.mu.Unlock()
-	return cc.Get(name)
-}
-
-// ReplicaFragment returns one specific replica's fragment.
-func (c *Catalog) ReplicaFragment(shard, replica int, name string) (*minesweeper.Relation, bool) {
-	c.mu.Lock()
-	cc := c.replicas[shard][replica]
-	c.mu.Unlock()
-	return cc.Get(name)
+	return c.shards[shard].Get(name)
 }
 
 // Len returns the number of cataloged relations.
@@ -513,49 +479,31 @@ func (c *Catalog) Dump(w io.Writer, name string) error { return c.whole().Dump(w
 // Query parses a textual join expression against the whole relations.
 func (c *Catalog) Query(expr string) (*minesweeper.Query, error) { return c.whole().Query(expr) }
 
-// PutQueryDef stores a prepared-query definition durably (on shard 0 —
-// definitions are control-plane state, not partitioned data — with the
-// usual primary-then-followers fan-out).
+// PutQueryDef stores a prepared-query definition durably on shard 0
+// (definitions are control-plane state, not partitioned data).
 func (c *Catalog) PutQueryDef(def storage.QueryDef) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.applyShardLocked(0, "", func(cc *catalog.Catalog) (catalog.Info, error) {
-		return catalog.Info{}, cc.PutQueryDef(def)
-	})
-	return err
+	return c.shardErr(0, c.shards[0].PutQueryDef(def))
 }
 
 // DropQueryDef removes a stored definition.
 func (c *Catalog) DropQueryDef(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, err := c.applyShardLocked(0, "", func(cc *catalog.Catalog) (catalog.Info, error) {
-		return catalog.Info{}, cc.DropQueryDef(name)
-	})
-	return err
+	return c.shardErr(0, c.shards[0].DropQueryDef(name))
 }
 
 // QueryDefs returns the stored definitions.
-func (c *Catalog) QueryDefs() []storage.QueryDef {
-	c.mu.Lock()
-	cc := c.leaderLocked(0)
-	c.mu.Unlock()
-	return cc.QueryDefs()
-}
+func (c *Catalog) QueryDefs() []storage.QueryDef { return c.shards[0].QueryDefs() }
 
 // Close releases every replica's backend and the gathered copy.
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var first error
-	for i := range c.replicas {
-		for j, cc := range c.replicas[i] {
-			if cc == nil {
-				continue // an open that failed part-way
-			}
-			if err := cc.Close(); err != nil && first == nil {
-				first = fmt.Errorf("shard %d replica %d: %w", i, j, err)
-			}
+	for i, cc := range c.shards {
+		if cc == nil {
+			continue // an open that failed part-way
+		}
+		if err := cc.Close(); err != nil && first == nil {
+			first = fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	if c.view != nil {
@@ -566,16 +514,15 @@ func (c *Catalog) Close() error {
 	return first
 }
 
-// StorageStats aggregates the primaries' storage statistics (counters
-// summed, mode and sequence from shard 0's primary, Dir the data-dir
-// root) — one copy of the data, matching the unreplicated meaning.
+// StorageStats aggregates the shards' primary-replica storage
+// statistics (counters summed, mode and sequence from shard 0, Dir the
+// data-dir root) — one copy of the data, matching the unreplicated
+// meaning.
 func (c *Catalog) StorageStats() storage.Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	agg := c.leaderLocked(0).StorageStats()
+	agg := c.shards[0].StorageStats()
 	agg.Dir = c.dir
-	for i := 1; i < c.n; i++ {
-		s := c.leaderLocked(i).StorageStats()
+	for _, cc := range c.shards[1:] {
+		s := cc.StorageStats()
 		agg.WALRecords += s.WALRecords
 		agg.WALBytes += s.WALBytes
 		agg.Snapshots += s.Snapshots
@@ -596,34 +543,32 @@ func (c *Catalog) StorageStats() storage.Stats {
 // scatter activity (the hot-shard signal), substream panics and
 // per-replica storage health.
 func (c *Catalog) ShardStats() []ShardStat {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]ShardStat, c.n)
-	for i := range out {
-		lead := c.primary[i]
-		cc := c.replicas[i][lead]
+	for i, cc := range c.shards {
 		st := ShardStat{
 			Shard:    i,
-			Primary:  lead,
 			Runs:     c.counters[i].runs.Load(),
 			Inflight: c.counters[i].inflight.Load(),
 			Queued:   c.counters[i].queued.Load(),
 			Emitted:  c.counters[i].emitted.Load(),
 			Panics:   c.counters[i].panics.Load(),
-			Storage:  cc.StorageStats(),
 		}
 		for _, info := range cc.Relations() {
 			st.Relations++
 			st.Tuples += info.Tuples
 		}
-		if err := c.shardDegradedLocked(i); err != nil {
+		if err := c.degraded(i); err != nil {
 			st.Degraded = err.Error()
 		}
-		st.Replicas = make([]ReplicaStat, c.r)
-		for j, rc := range c.replicas[i] {
-			rs := ReplicaStat{Replica: j, Primary: j == lead, Storage: rc.StorageStats()}
-			if err := c.replicaErrLocked(i, j); err != nil {
-				rs.Down = err.Error()
+		members := cc.Members()
+		st.Replicas = make([]ReplicaStat, len(members))
+		for j, m := range members {
+			rs := ReplicaStat{Replica: j, Primary: m.Primary, Storage: m.Storage}
+			if m.Err != nil {
+				rs.Down = m.Err.Error()
+			}
+			if m.Primary {
+				st.Primary, st.Storage = j, m.Storage
 			}
 			st.Replicas[j] = rs
 		}

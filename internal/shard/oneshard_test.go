@@ -18,9 +18,9 @@ import (
 
 // One shard is a parameter of the catalog, not another type: its single
 // fragment is served in place (no gathered copy), an upload is parsed
-// once, a leadership move rebinds prepared queries to the new leader's
-// relations, and a directory written by an unsharded store opens as
-// shard 0 / replica 0.
+// once, a leadership move changes which replica is primary but not
+// which relation objects are served, and a directory written by an
+// unsharded store opens as shard 0 / replica 0.
 
 // TestOneFragmentIsServedInPlace: with one shard Get returns the very
 // object Fragment(0, ·) does — after every kind of mutation and after
@@ -155,14 +155,14 @@ func streamOf(t *testing.T, p *Prepared) string {
 	return ndjson(t, res.Vars, res.Tuples)
 }
 
-// TestLeadershipMoveRebindsPreparedQueries: with one shard the whole
-// relation is the leader's fragment, so a failover or a reopen of the
-// serving replica changes which *Relation a name is. A query prepared —
-// or merely parsed — before the move follows it, however many moves it
-// slept through, and keeps streaming exactly what an unsharded catalog
-// holding the same rows does; a query holding a relation that was
-// dropped does not follow the name to its re-creation.
-func TestLeadershipMoveRebindsPreparedQueries(t *testing.T) {
+// TestLeadershipMoveKeepsRelations: with one shard the whole relation
+// is the shard's one in-memory fragment, whichever replica is primary.
+// A failover and a reopen of the old primary leave Get returning the
+// very same *Relation, and a query prepared — or merely parsed — before
+// the moves keeps streaming exactly what an unsharded catalog holding
+// the same rows does; a query holding a relation that was dropped does
+// not follow the name to its re-creation.
+func TestLeadershipMoveKeepsRelations(t *testing.T) {
 	const expr = "R(A,B), S(B,C)"
 	dir := t.TempDir()
 	var faulty [2]*storage.Faulty
@@ -192,17 +192,28 @@ func TestLeadershipMoveRebindsPreparedQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := func() string {
+	// want is the reference stream of a query over ref prepared when
+	// the run's own was: a prepared query keeps its plan across
+	// mutations on near-ties, so its order follows its history.
+	want := func(refP *minesweeper.PreparedQuery) string {
+		t.Helper()
+		res, err := refP.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ndjson(t, res.Vars, res.Tuples)
+	}
+	refPrepare := func() *minesweeper.PreparedQuery {
 		t.Helper()
 		q, err := ref.Query(expr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := minesweeper.Execute(q, nil)
+		pq, err := q.Prepare(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ndjson(t, res.Vars, res.Tuples)
+		return pq
 	}
 	// insert adds one joining row to both catalogs.
 	insert := func(a int) {
@@ -218,24 +229,24 @@ func TestLeadershipMoveRebindsPreparedQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := mustPrepare(t, c, expr)
+	p, refP := mustPrepare(t, c, expr), refPrepare()
+	whole, _ := c.Get("R")
 	check := func(when string, leader int) {
 		t.Helper()
 		if got := c.Primary(0); got != leader {
 			t.Fatalf("%s: shard 0 led by replica %d, want %d", when, got, leader)
 		}
-		whole, _ := c.Get("R")
-		if frag, _ := c.ReplicaFragment(0, leader, "R"); whole != frag {
-			t.Fatalf("%s: Get(R) is not the leader's fragment", when)
+		if got, _ := c.Get("R"); got != whole {
+			t.Fatalf("%s: Get(R) = %p, was %p: the relation changed identity", when, got, whole)
 		}
-		if got, w := streamOf(t, p), want(); got != w {
+		if got, w := streamOf(t, p), want(refP); got != w {
 			t.Fatalf("%s: prepared stream diverges from the unsharded reference:\n%s\nwant:\n%s", when, got, w)
 		}
 		late, err := c.Prepare(stale, nil)
 		if err != nil {
 			t.Fatalf("%s: preparing a query parsed before the move: %v", when, err)
 		}
-		if got, w := streamOf(t, late), want(); got != w {
+		if got, w := streamOf(t, late), want(refPrepare()); got != w {
 			t.Fatalf("%s: query parsed before the move diverges from the reference", when)
 		}
 		if rels := p.Relations(); len(rels) != 2 || rels[0] != minesweeper.Fragment(whole) {
@@ -255,7 +266,7 @@ func TestLeadershipMoveRebindsPreparedQueries(t *testing.T) {
 		t.Fatal("post-failover tuple missing from the stream")
 	}
 
-	// The old primary comes back as a follower, on new relation objects.
+	// The old primary comes back as a follower; nothing in memory moves.
 	if err := c.ReopenReplica(0, 0, func() (storage.Backend, error) {
 		return storage.OpenDurable(ReplicaDir(dir, 0, 0), storage.Options{})
 	}); err != nil {
@@ -267,8 +278,7 @@ func TestLeadershipMoveRebindsPreparedQueries(t *testing.T) {
 	insert(1001)
 	check("after reopening the old primary", 1)
 
-	// Second move, back onto the reopened replica: `stale` still holds
-	// the objects of a catalog that no longer exists.
+	// Second move, back onto the reopened replica.
 	faulty[1].Sync()
 	insert(1002)
 	check("after failing back", 0)
@@ -289,10 +299,9 @@ func TestLeadershipMoveRebindsPreparedQueries(t *testing.T) {
 }
 
 // TestLeadershipMovesUnderLoad: runs of one prepared query race inserts,
-// failovers and reopens. Every run must finish on the snapshot it
-// pinned — a complete stream no shorter than the previous one, rows
-// only ever being added — and the run after the last move sees every
-// row.
+// failovers and reopens. Every run must stream the snapshot it pinned —
+// a complete count no smaller than the previous one, rows only ever
+// being added — and the run after the last move sees every row.
 func TestLeadershipMovesUnderLoad(t *testing.T) {
 	dir := t.TempDir()
 	reopen := func(j int) (*storage.Faulty, error) {
@@ -388,9 +397,9 @@ func TestLeadershipMovesUnderLoad(t *testing.T) {
 }
 
 // TestReopenedLeaderKeepsServing: a 1 x 1 store that poisoned itself is
-// reopened in place — the reopen is a leadership move onto the
-// recovered catalog — and a query prepared before serves the mutations
-// made after.
+// reopened in place — its one replica is recovered and brought in sync
+// under the unchanged relations — and a query prepared before serves
+// the mutations made after.
 func TestReopenedLeaderKeepsServing(t *testing.T) {
 	dir := t.TempDir()
 	c := openFaultyReplica(t, dir, 1, 1, 0, 0, "append@3=enospc")

@@ -21,7 +21,7 @@ const scatterBuf = 64
 // holds the full prepared query over whole relations — which serves
 // planning, Explain and every run that does not scatter — plus, when
 // the plan can scatter, one per-shard prepared query with the query's
-// sliced atom rebound to that shard's serving-replica fragment.
+// sliced atom bound to that shard's fragment instead.
 // Execution fans the per-shard raw streams out, merges them with a
 // loser tree into GAO-lex order, and applies the shaping (projection,
 // bounds, distinct, aggregates, limit) once on the gathered side, so
@@ -45,11 +45,10 @@ type Prepared struct {
 // decision was made for, the catalog version it saw, and — when
 // scattering — the per-shard prepared queries (all forced to the same
 // GAO under the order-preserving natural domain, so their raw streams
-// merge by plain tuple comparison), each bound to the fragment object
-// its shard served at plan time. Fragments are immutable — a mutation
-// swaps in a fresh copy, a replica reopen leaves the old one valid — so
-// a run streams exactly what it pinned, whatever happens to the
-// replica's storage meanwhile.
+// merge by plain tuple comparison), each bound to its shard's fragment
+// object. A run pins the fragments' current contents (see
+// StreamContextExplained) and streams exactly that, whatever happens
+// to the replicas' storage meanwhile.
 type scatterPlan struct {
 	q          *minesweeper.Query
 	full       *minesweeper.PreparedQuery
@@ -60,9 +59,8 @@ type scatterPlan struct {
 }
 
 // Prepare plans a query for execution over the catalog. The query must
-// have been built against this catalog's relations (Catalog.Query); one
-// parsed before a leadership move is bound to the relations' current
-// objects first. Options carry through to every per-shard prepare,
+// have been built against this catalog's relations (Catalog.Query).
+// Options carry through to every per-shard prepare,
 // except that the GAO is pinned to the full plan's choice, the domain
 // to the order-preserving natural encoding — a frequency-permuted
 // domain would give each shard its own code order and break the
@@ -79,23 +77,20 @@ func (c *Catalog) Prepare(q *minesweeper.Query, opts *minesweeper.Options) (*Pre
 	return p, nil
 }
 
-// Refresh brings the plan up to date. When the catalog's version moved
-// (partitions, replica set, leadership) the query is first rebound to
-// the current whole relations — a leadership move at one shard changes
-// which *Relation a name is, and only atoms bound to a superseded
-// object of the same relation follow it — and the full query prepared
-// again if anything was rebound. Then the full query re-plans if its
+// Refresh brings the plan up to date: the full query re-plans if its
 // relations mutated, and the scatter plan is rebuilt when the GAO or
-// the version moved (markDownLocked bumps the same version, so plans
-// re-bind off dead replicas too).
+// the catalog's partition version moved. Relation objects never change
+// identity under the plan — a replica failover or reopen leaves them
+// as they are — so the query stays bound to the objects it was built
+// against; a relation dropped since is not followed to a re-creation
+// under its name.
 func (p *Prepared) Refresh() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q, version := p.cat.rebound(p.cur.q, p.cur.version)
 	full := p.cur.full
-	if q != p.cur.q || full == nil {
+	if full == nil {
 		var err error
-		if full, err = q.Prepare(&p.opts); err != nil {
+		if full, err = p.cur.q.Prepare(&p.opts); err != nil {
 			return err
 		}
 	}
@@ -103,10 +98,13 @@ func (p *Prepared) Refresh() error {
 		return err
 	}
 	gao := full.GAO()
+	p.cat.mu.Lock()
+	version := p.cat.version
+	p.cat.mu.Unlock()
 	if full == p.cur.full && p.cur.version == version && slices.Equal(p.cur.gao, gao) {
 		return nil
 	}
-	cur, err := p.buildPlan(q, full, gao, version)
+	cur, err := p.buildPlan(p.cur.q, full, gao, version)
 	if err != nil {
 		return err
 	}
@@ -121,9 +119,9 @@ func (p *Prepared) Refresh() error {
 // restriction of the outermost domain and per-assignment work is done
 // once across the shard set. With several candidates the largest
 // relation wins (slicing it buys the most). Without one — or under a
-// frequency-permuted domain, with one shard, or with a shard that has
-// no healthy replica — execution runs the full plan over the whole
-// relations.
+// frequency-permuted domain, or with one shard — execution runs the
+// full plan over the whole relations. A shard with no healthy replica
+// still scatters: reads come from its in-memory fragment.
 func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQuery, gao []string, version uint64) (*scatterPlan, error) {
 	plan := &scatterPlan{q: q, full: full, gao: gao, version: version}
 	if p.cat.n <= 1 {
@@ -137,7 +135,7 @@ func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQue
 	p.cat.mu.Lock()
 	slice, part := -1, Partition{}
 	for i, a := range atoms {
-		rel, ok := p.cat.wholeLocked().Get(a.Rel.Name())
+		rel, ok := p.cat.whole().Get(a.Rel.Name())
 		if !ok || minesweeper.Fragment(rel) != a.Rel {
 			continue // not this catalog's relation (or a stale binding)
 		}
@@ -155,31 +153,15 @@ func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQue
 	}
 	name := atoms[slice].Rel.Name()
 	frags := make([]*minesweeper.Relation, p.cat.n)
-	ok := true
-	for s := 0; s < p.cat.n; s++ {
-		rep := -1
-		for jj := 0; jj < p.cat.r; jj++ {
-			j := (p.cat.primary[s] + jj) % p.cat.r
-			if p.cat.replicaErrLocked(s, j) == nil {
-				rep = j
-				break
-			}
-		}
-		if rep < 0 {
-			ok = false // fully dead shard: the gathered copy still serves reads
-			break
-		}
-		frag, have := p.cat.replicas[s][rep].Get(name)
+	for s, cc := range p.cat.shards {
+		frag, have := cc.Get(name)
 		if !have {
-			ok = false // fragment missing (partial create): run gathered
-			break
+			p.cat.mu.Unlock()
+			return plan, nil // fragment missing (partial create): run gathered
 		}
 		frags[s] = frag
 	}
 	p.cat.mu.Unlock()
-	if !ok {
-		return plan, nil
-	}
 	shards := make([]*minesweeper.PreparedQuery, p.cat.n)
 	for s := range shards {
 		pq, err := p.prepareSubstream(q, gao, slice, frags[s])
@@ -194,7 +176,7 @@ func (p *Prepared) buildPlan(q *minesweeper.Query, full *minesweeper.PreparedQue
 }
 
 // prepareSubstream builds one shard's prepared query: the sliced atom
-// rebound to frag, the GAO pinned, the domain forced natural.
+// bound to frag, the GAO pinned, the domain forced natural.
 func (p *Prepared) prepareSubstream(q *minesweeper.Query, gao []string, slice int, frag minesweeper.Fragment) (*minesweeper.PreparedQuery, error) {
 	qs := q.CloneWithRelations(func(i int, f minesweeper.Fragment) minesweeper.Fragment {
 		if i == slice {
@@ -225,9 +207,9 @@ func (p *Prepared) OutputVars() []string { return p.pinned().full.OutputVars() }
 // Engine returns the resolved engine.
 func (p *Prepared) Engine() minesweeper.Engine { return p.pinned().full.Engine() }
 
-// Relations returns the relation objects the plan is bound to. After a
-// Refresh they are the catalog's current ones unless a relation was
-// dropped (or dropped and re-created) since the query was built.
+// Relations returns the relation objects the plan is bound to: the
+// catalog's current ones unless a relation was dropped (or dropped and
+// re-created) since the query was built.
 func (p *Prepared) Relations() []minesweeper.Fragment { return p.pinned().q.Relations() }
 
 // Explain returns the full plan annotated with the scatter decision.
@@ -251,16 +233,40 @@ func (p *Prepared) Execute() (*minesweeper.Result, error) {
 	return res, err
 }
 
+// pinnedRun is one pinned run of a prepared query (PreparedQuery.Pin).
+type pinnedRun = func(ctx context.Context, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error)
+
 // StreamContextExplained re-plans if needed, reports the plan, and
 // streams the shaped result: scattered across the shard set when the
 // plan allows, through the full plan over whole relations otherwise.
 // Cancellation, emit-false early stop and error-truncated prefixes
 // behave exactly as in the unsharded stream.
+//
+// A run reads one mutation-consistent cut: every prepared query it
+// executes — the full one, or one per shard — is pinned under a single
+// acquisition of the catalog mutex, which every mutation holds across
+// all the fragments and the gathered copy it touches. So the stream is
+// exactly that of one state the catalog passed through, never one
+// shard's post-mutation fragment beside another's pre-mutation one.
 func (p *Prepared) StreamContextExplained(ctx context.Context, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error) {
 	if err := p.Refresh(); err != nil {
 		return minesweeper.Stats{}, err
 	}
 	cur := p.pinned()
+	raw, pqs := true, cur.shards
+	if pqs == nil {
+		raw, pqs = false, []*minesweeper.PreparedQuery{cur.full}
+	}
+	runs := make([]pinnedRun, len(pqs))
+	p.cat.mu.Lock()
+	for s, pq := range pqs {
+		var err error
+		if runs[s], err = pq.Pin(raw); err != nil {
+			p.cat.mu.Unlock()
+			return minesweeper.Stats{}, err
+		}
+	}
+	p.cat.mu.Unlock()
 	if cur.shards == nil {
 		wrapped := plan
 		if plan != nil && len(cur.partitions) > 0 {
@@ -269,9 +275,9 @@ func (p *Prepared) StreamContextExplained(ctx context.Context, plan func(mineswe
 				plan(ex)
 			}
 		}
-		return cur.full.StreamContextExplained(ctx, wrapped, yield)
+		return runs[0](ctx, wrapped, yield)
 	}
-	return p.gather(ctx, cur, plan, yield)
+	return p.gather(ctx, cur, runs, plan, yield)
 }
 
 // sub is one shard's gather-side state: the merge channel, the
@@ -290,14 +296,14 @@ type sub struct {
 // raw assignment surfaces exactly once and the merged stream is
 // byte-identical to the unsharded raw stream.
 //
-// A substream reads only the fragment its plan pinned, so a replica
-// whose storage dies mid-run changes nothing it reads: the run finishes
-// on that fragment, and detecting the death is left to the write path,
-// the next plan and the reopen loop. A substream that fails — an engine
+// A substream reads only the fragment state its run pinned, so a
+// replica whose storage dies mid-run changes nothing it reads: the run
+// finishes on that state, and detecting the death is left to the write
+// path and the reopen loop. A substream that fails — an engine
 // panic, say — ends the run with an error after a correct merged
 // prefix; nothing is retried, as with a panicking engine.Parallel
 // morsel.
-func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error) {
+func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, runs []pinnedRun, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error) {
 	_, sh, err := cur.q.ShapePlan(cur.gao, &p.opts)
 	if err != nil {
 		return minesweeper.Stats{}, err
@@ -310,7 +316,7 @@ func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(mines
 
 	synth := func(rctx context.Context, _ *core.Problem, stats *certificate.Stats, emit func([]int) bool) error {
 		cctx, cancel := context.WithCancel(rctx)
-		subs := make([]*sub, len(cur.shards))
+		subs := make([]*sub, len(runs))
 		var wg sync.WaitGroup
 		for s := range subs {
 			sb := &sub{ch: make(chan []int, scatterBuf)}
@@ -319,7 +325,7 @@ func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(mines
 			go func(s int, sb *sub) {
 				defer wg.Done()
 				defer close(sb.ch)
-				sb.stats, sb.err = p.runSubstream(cctx, s, cur.shards[s], sb.ch)
+				sb.stats, sb.err = p.runSubstream(cctx, s, runs[s], sb.ch)
 			}(s, sb)
 		}
 		// On every exit: stop the producers, wait them out, and fold
@@ -381,7 +387,7 @@ func (p *Prepared) gather(ctx context.Context, cur *scatterPlan, plan func(mines
 // tuples into the gather channel. It is the substream's panic boundary:
 // a panicking engine is recovered here, counted per shard, and surfaced
 // as the substream's error.
-func (p *Prepared) runSubstream(cctx context.Context, s int, pq *minesweeper.PreparedQuery, ch chan<- []int) (st minesweeper.Stats, err error) {
+func (p *Prepared) runSubstream(cctx context.Context, s int, raw pinnedRun, ch chan<- []int) (st minesweeper.Stats, err error) {
 	ctr := &p.cat.counters[s]
 	ctr.runs.Add(1)
 	ctr.inflight.Add(1)
@@ -392,7 +398,7 @@ func (p *Prepared) runSubstream(cctx context.Context, s int, pq *minesweeper.Pre
 			err = fmt.Errorf("shard %d: substream panic: %v", s, r)
 		}
 	}()
-	return pq.StreamRawContext(cctx, nil, func(t []int) bool {
+	return raw(cctx, nil, func(t []int) bool {
 		if p.emitHook != nil {
 			p.emitHook(s)
 		}

@@ -21,8 +21,8 @@ const manifestName = "shards.json"
 
 // manifest is the durable routing state: the shard count the directory
 // is laid out for and the partition of every relation. The replica
-// count is recorded for introspection but not enforced — growing or
-// shrinking the replica set is a resync, not a data migration, so a
+// count is recorded for introspection but not enforced — a new replica
+// directory is brought in sync when it opens, not migrated, so a
 // directory opens at any replica count.
 type manifest struct {
 	Shards    int                  `json:"shards"`
@@ -42,16 +42,17 @@ func ReplicaDir(dir string, shard, replica int) string {
 
 // OpenReplicated recovers a sharded catalog from dir with R replicas
 // per shard: each replica replays its own WAL+snapshot under
-// shard-<i>/replica-<j>/ (restoring exact per-fragment epochs), the
-// furthest-along replica of each shard is elected primary and its
-// siblings are resynced from it, the gathered copy (if any) is rebuilt
-// from the primaries, and routing comes from the manifest. Relations missing a
-// manifest entry (a crash between fragment writes and the manifest
-// write) are deterministically repartitioned and redistributed.
-// Opening a directory laid out for a different shard count is refused
-// — re-routing existing placements across a new count is a data
-// migration, not a recovery. A different replica count is fine: new
-// replica directories start empty and resync from the elected primary.
+// shard-<i>/replica-<j>/, each shard's catalog is built once from its
+// furthest-along replica (restoring exact per-fragment epochs) and
+// compacts that state into any replica that lags it (catalog.Open), the
+// gathered copy (if any) is rebuilt from the fragments, and routing
+// comes from the manifest. Relations missing a manifest entry (a crash
+// between fragment writes and the manifest write) are deterministically
+// repartitioned and redistributed. Opening a directory laid out for a
+// different shard count is refused — re-routing existing placements
+// across a new count is a data migration, not a recovery. A different
+// replica count is fine: new replica directories start empty and are
+// brought in sync at open.
 // Logs written under an older layout — at the data-dir root by an
 // unsharded store, or directly under shard-<i>/ before replication —
 // are moved into place first, so no directory opens silently empty.
@@ -93,21 +94,27 @@ func OpenWith(dir string, shards, replicas int, backend func(shard, replica int)
 		}
 	}
 	c := newCatalog(shards, replicas, dir)
-	for i := range c.replicas {
-		for j := range c.replicas[i] {
+	for i := range c.shards {
+		members := make([]storage.Backend, 0, c.r)
+		fail := func(err error) (*Catalog, error) {
+			for _, b := range members {
+				b.Close()
+			}
+			c.Close()
+			return nil, err
+		}
+		for j := 0; j < c.r; j++ {
 			b, err := backend(i, j)
 			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("shard %d replica %d: %w", i, j, err)
+				return fail(fmt.Errorf("shard %d replica %d: %w", i, j, err))
 			}
-			cat, err := catalog.Open(b)
-			if err != nil {
-				b.Close()
-				c.Close()
-				return nil, fmt.Errorf("shard %d replica %d: %w", i, j, err)
-			}
-			c.replicas[i][j] = cat
+			members = append(members, b)
 		}
+		cat, err := catalog.Open(members...)
+		if err != nil {
+			return fail(fmt.Errorf("shard %d: %w", i, err))
+		}
+		c.shards[i] = cat
 	}
 	if err := c.recover(m); err != nil {
 		c.Close()
@@ -162,60 +169,12 @@ func migrateLegacyLogs(from, to string) error {
 	return nil
 }
 
-// replicaScore ranks a recovered replica for primary election:
-// epoch sum first (the furthest-along mutation history), then relation
-// and tuple counts as tie-breaks so an empty new replica directory
-// never outranks real data.
-type replicaScore struct {
-	epochs uint64
-	rels   int
-	tuples int
-}
-
-func (s replicaScore) beats(o replicaScore) bool {
-	if s.epochs != o.epochs {
-		return s.epochs > o.epochs
-	}
-	if s.rels != o.rels {
-		return s.rels > o.rels
-	}
-	return s.tuples > o.tuples
-}
-
-func scoreReplica(cc *catalog.Catalog) replicaScore {
-	var s replicaScore
-	for _, info := range cc.Relations() {
-		s.epochs += info.Epoch
-		s.rels++
-		s.tuples += info.Tuples
-	}
-	return s
-}
-
-// recover elects each shard's primary, resyncs its siblings, rebuilds
-// the gathered copy and routing table from the primaries plus the
-// manifest.
+// recover rebuilds the gathered copy and routing table from the
+// fragments plus the manifest.
 func (c *Catalog) recover(m *manifest) error {
-	for i := range c.replicas {
-		best, bs := 0, scoreReplica(c.replicas[i][0])
-		for j := 1; j < c.r; j++ {
-			if s := scoreReplica(c.replicas[i][j]); s.beats(bs) {
-				best, bs = j, s
-			}
-		}
-		c.primary[i] = best
-		for j := range c.replicas[i] {
-			if j == best {
-				continue
-			}
-			if err := resyncFrom(c.replicas[i][j], c.replicas[i][best], i == 0); err != nil {
-				return fmt.Errorf("shard %d: resyncing replica %d: %w", i, j, err)
-			}
-		}
-	}
 	names := map[string]bool{}
-	for i := range c.replicas {
-		for _, n := range c.leaderLocked(i).Names() {
+	for _, cc := range c.shards {
+		for _, n := range cc.Names() {
 			names[n] = true
 		}
 	}
@@ -233,7 +192,7 @@ func (c *Catalog) recover(m *manifest) error {
 			// One shard: a gather of one fragment is that fragment, so
 			// nothing is copied, and one bucket holds every row colocated
 			// under any partition, so nothing is redistributed either.
-			if vars, _ := c.leaderLocked(0).Vars(name); !routed || p.Column >= len(vars) {
+			if vars, _ := c.shards[0].Vars(name); !routed || p.Column >= len(vars) {
 				p = choosePartition(vars, nil, c.n)
 			}
 			c.parts[name] = p
@@ -261,17 +220,13 @@ func (c *Catalog) recover(m *manifest) error {
 	return c.writeManifest()
 }
 
-// redistribute replaces every replica's fragment of name with its
-// bucket under p, creating the relation where it is missing. Recovery
-// only — it assumes every replica is healthy and in lockstep, which
-// holds right after resyncFrom.
+// redistribute replaces every shard's fragment of name with its bucket
+// under p, creating the relation where it is missing. Recovery only.
 func (c *Catalog) redistribute(name string, vars []string, tuples [][]int, p Partition) error {
 	buckets := p.split(tuples, c.n)
-	for i := range c.replicas {
-		for _, cc := range c.replicas[i] {
-			if _, err := cc.CreateOrReplace(name, vars, buckets[i]); err != nil {
-				return err
-			}
+	for i, cc := range c.shards {
+		if _, err := cc.CreateOrReplace(name, vars, buckets[i]); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -3,16 +3,72 @@ package shard
 import (
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"minesweeper/internal/catalog"
 	"minesweeper/internal/storage"
 )
 
 // Replication coverage: a poisoned primary fails over to a healthy
-// follower without losing a mutation, a reopened replica resyncs from
-// the surviving leader, a rolling reopen never degrades the catalog,
-// and a pre-replication shard layout migrates in place.
+// follower without losing a mutation, a reopened replica is brought
+// back in sync from the shard's one in-memory copy, a rolling reopen
+// never degrades the catalog, a pre-replication shard layout migrates
+// in place, and a replica costs a log, not a copy.
+
+// fragmentState is one fragment as the durable-replica check compares
+// it: its epoch and its (sorted) tuples.
+type fragmentState struct {
+	epoch  uint64
+	tuples [][]int
+}
+
+func fragmentStates(cc *catalog.Catalog) map[string]fragmentState {
+	out := map[string]fragmentState{}
+	for _, name := range cc.Names() {
+		rel, _ := cc.Get(name)
+		ts := rel.Tuples()
+		if len(ts) == 0 {
+			ts = nil
+		}
+		out[name] = fragmentState{rel.Epoch(), ts}
+	}
+	return out
+}
+
+// checkReplicasDurable closes c and opens every replica directory
+// alone, checking that each holds exactly what its shard serves: the
+// same relations at the same epochs with the same tuples. It checks
+// what is durable, not a copy in memory.
+func checkReplicasDurable(t *testing.T, c *Catalog, dir string) {
+	t.Helper()
+	served := make([]map[string]fragmentState, c.Shards())
+	for i, cc := range c.shards {
+		served[i] = fragmentStates(cc)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range served {
+		for j := 0; j < c.ReplicaCount(); j++ {
+			d, err := storage.OpenDurable(ReplicaDir(dir, i, j), storage.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cc, err := catalog.Open(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fragmentStates(cc)
+			cc.Close()
+			if !reflect.DeepEqual(got, served[i]) {
+				t.Fatalf("shard %d replica %d logs %v, the shard serves %v", i, j, got, served[i])
+			}
+		}
+	}
+}
 
 // openFaultyReplica opens a replicated durable catalog where exactly
 // one replica's backend is wrapped in the fault-injection layer.
@@ -43,8 +99,8 @@ func seedTuples(n int) (rT, sT [][]int) {
 }
 
 // TestPrimaryFailover: when the primary's WAL poisons mid-mutation the
-// shard promotes a healthy follower and the mutation succeeds on the
-// first try — the caller never sees the fault, the catalog never turns
+// record is durable on the healthy follower, which becomes primary, and
+// the mutation succeeds on the first try — the caller never sees the fault, the catalog never turns
 // read-only, and the dead replica is reported for background reopen.
 func TestPrimaryFailover(t *testing.T) {
 	dir := t.TempDir()
@@ -88,7 +144,7 @@ func TestPrimaryFailover(t *testing.T) {
 		t.Fatalf("replica 1 not marked primary: %+v", stats[0].Replicas)
 	}
 
-	// Mutations keep flowing on the promoted leader.
+	// Mutations keep flowing on the new primary.
 	if _, err := c.Insert("R", []int{2000, 1}, []int{2001, 2}, []int{2002, 3}); err != nil {
 		t.Fatalf("insert after failover: %v", err)
 	}
@@ -111,8 +167,9 @@ func TestPrimaryFailover(t *testing.T) {
 		t.Fatal("post-failover stream diverges from unsharded reference")
 	}
 
-	// ReopenReplica brings the dead copy back and resyncs it from the
-	// surviving leader: every fragment lands at the leader's exact epoch.
+	// ReopenReplica brings the dead replica back in sync: its log then
+	// holds every fragment at the served epoch, as the surviving one's
+	// does.
 	if err := c.ReopenReplica(0, 0, func() (storage.Backend, error) {
 		return storage.OpenDurable(ReplicaDir(dir, 0, 0), storage.Options{})
 	}); err != nil {
@@ -121,20 +178,10 @@ func TestPrimaryFailover(t *testing.T) {
 	if got := c.DownReplicas(); len(got) != 0 {
 		t.Fatalf("DownReplicas() after reopen = %+v, want none", got)
 	}
-	for _, name := range []string{"R", "S"} {
-		lead, ok := c.Fragment(0, name)
-		if !ok {
-			t.Fatalf("no leader fragment of %s", name)
-		}
-		rep, ok := c.ReplicaFragment(0, 0, name)
-		if !ok {
-			t.Fatalf("no reopened fragment of %s", name)
-		}
-		if rep.Epoch() != lead.Epoch() || rep.Len() != lead.Len() {
-			t.Fatalf("%s: reopened replica at epoch %d/%d tuples, leader at %d/%d",
-				name, rep.Epoch(), rep.Len(), lead.Epoch(), lead.Len())
-		}
+	if got := c.Primary(0); got != 1 {
+		t.Fatalf("shard 0 primary = %d after the reopen, want 1 (a reopened replica rejoins as a follower)", got)
 	}
+	checkReplicasDurable(t, c, dir)
 }
 
 // TestFailoverExhaustion: with every replica of a shard poisoned the
@@ -171,7 +218,7 @@ func TestFailoverExhaustion(t *testing.T) {
 
 // TestRollingReopen: reopening every replica of every shard one at a
 // time (the rolling-restart primitive) keeps the catalog continuously
-// ready and lands every copy back at the leader's epochs.
+// ready and leaves every replica's log at the served epochs.
 func TestRollingReopen(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenReplicated(dir, 3, 2, storage.Options{})
@@ -216,18 +263,10 @@ func TestRollingReopen(t *testing.T) {
 	if got := fragmentEpochs(t, c, "R"); !equalU64(got, epochs) {
 		t.Fatalf("R epochs after roll = %v, want %v", got, epochs)
 	}
-	for i := 0; i < c.Shards(); i++ {
-		for j := 0; j < c.ReplicaCount(); j++ {
-			lead, _ := c.Fragment(i, "R")
-			rep, ok := c.ReplicaFragment(i, j, "R")
-			if !ok || rep.Epoch() != lead.Epoch() {
-				t.Fatalf("shard %d replica %d out of sync after roll", i, j)
-			}
-		}
-	}
 	if _, err := c.Insert("R", []int{950, 5}); err != nil {
 		t.Fatalf("insert after roll: %v", err)
 	}
+	checkReplicasDurable(t, c, dir)
 }
 
 // TestLegacyLayoutMigration: a pre-replication data directory (WAL and
@@ -276,16 +315,59 @@ func TestLegacyLayoutMigration(t *testing.T) {
 	if got := fragmentEpochs(t, c2, "R"); !equalU64(got, epochs) {
 		t.Fatalf("R epochs after migration = %v, want %v", got, epochs)
 	}
-	// The widened replica set is live: both copies at the same epoch,
-	// mutations replicate to both.
-	for i := 0; i < 2; i++ {
-		lead, _ := c2.Fragment(i, "R")
-		rep, ok := c2.ReplicaFragment(i, 1, "R")
-		if !ok || rep.Epoch() != lead.Epoch() {
-			t.Fatalf("shard %d replica 1 not backfilled from legacy copy", i)
-		}
-	}
+	// The widened replica set is live: the new replica was backfilled
+	// from the legacy log, and mutations reach both logs.
 	if _, err := c2.Insert("R", []int{600, 8}, []int{601, 9}); err != nil {
 		t.Fatalf("insert after migration: %v", err)
+	}
+	checkReplicasDurable(t, c2, dir)
+}
+
+// TestReplicatedInsertAllocs: a replica is a log, not a copy. A 256-row
+// insert over memory replicas costs at R = 2 what it costs at R = 1 —
+// in objects (within +64) and in bytes (within 10%: the merged copy of
+// the relation is made once per shard, not once per replica) — at one
+// shard and at two.
+func TestReplicatedInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; budgets measured without -race")
+	}
+	const runs = 20
+	rT, _ := seedTuples(20000)
+	batches := make([][][]int, 2*runs+2)
+	for k := range batches {
+		batches[k] = make([][]int, 256)
+		for i := range batches[k] {
+			batches[k][i] = []int{100000 + k*256 + i, i % 50}
+		}
+	}
+	cost := func(shards, replicas int) (objects, bytes float64) {
+		c := NewReplicated(shards, replicas)
+		if _, err := c.Create("R", []string{"a", "b"}, rT); err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		insert := func() {
+			if _, err := c.Insert("R", batches[k]...); err != nil {
+				t.Fatal(err)
+			}
+			k++
+		}
+		objects = testing.AllocsPerRun(runs, insert)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			insert()
+		}
+		runtime.ReadMemStats(&after)
+		return objects, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	for _, shards := range []int{1, 2} {
+		o1, b1 := cost(shards, 1)
+		o2, b2 := cost(shards, 2)
+		if o2 > o1+64 || b2 > 1.1*b1 {
+			t.Errorf("%d shards: a 256-row insert allocates %.0f objects / %.0f B at 2 replicas, %.0f / %.0f B at 1",
+				shards, o2, b2, o1, b1)
+		}
 	}
 }

@@ -755,30 +755,29 @@ func (pq *PreparedQuery) StreamContextExplained(ctx context.Context, plan func(E
 	return stats, err
 }
 
-// pinnedRaw pins one plan state and assembles its raw run function —
-// the resolved engine, spread over Options.Workers range morsels when it
-// is IndexOnly, and the dictionary decode wrapper — shared by the shaped
-// (streamPinned) and raw (StreamRawContext) streaming paths. A nil *prepState with nil error
-// is the provably-empty no-work short-circuit (the plan callback has
-// then already fired).
-func (pq *PreparedQuery) pinnedRaw(plan func(Explain)) (engine.RunFunc, *core.Problem, *prepState, error) {
+// pinnedRun is one run's pinned plan state and its raw run function;
+// st is nil for the provably-empty no-work short-circuit.
+type pinnedRun struct {
+	raw     engine.RunFunc
+	problem *core.Problem
+	st      *prepState
+}
+
+// pin pins one plan state and assembles its raw run function — the
+// resolved engine, spread over Options.Workers range morsels when it is
+// IndexOnly, and the dictionary decode wrapper.
+func (pq *PreparedQuery) pin() (pinnedRun, error) {
 	pq.mu.Lock()
 	empty := pq.cur.shape != nil && pq.cur.shape.Empty
 	pq.mu.Unlock()
 	if empty {
 		// Contradictory filters: provably empty regardless of data, no
 		// work (emptiness depends only on the clauses, not the epoch).
-		if plan != nil {
-			plan(pq.Explain())
-		}
-		return nil, nil, nil, nil
+		return pinnedRun{}, nil
 	}
-	run, st, err := pq.snapshot()
+	problem, st, err := pq.snapshot()
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if plan != nil {
-		plan(pq.explainState(st))
+		return pinnedRun{}, err
 	}
 	rawRun := engine.Parallel(pq.runner, pq.opts.Workers)
 	if st.dicts.Any() {
@@ -791,49 +790,74 @@ func (pq *PreparedQuery) pinnedRaw(plan func(Explain)) (engine.RunFunc, *core.Pr
 			})
 		}
 	}
-	return rawRun, run, st, nil
+	return pinnedRun{raw: rawRun, problem: problem, st: st}, nil
 }
 
-// streamPinned runs the query against one pinned plan state, which it
-// returns alongside the run's stats (nil for the provably-empty
-// no-work path). Everything the run reports — the plan callback, the
-// stats plan fields, Result.GAO in the Execute wrappers — comes from
-// that single state, never from a racy re-read of pq.cur.
-func (pq *PreparedQuery) streamPinned(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, *prepState, error) {
+// run executes a pinned state, shaped or raw. Everything the run
+// reports — the plan callback, the stats plan fields — comes from that
+// single state, never from a racy re-read of pq.cur.
+func (pq *PreparedQuery) run(ctx context.Context, p pinnedRun, raw bool, plan func(Explain), yield func([]int) bool) (Stats, error) {
 	var stats Stats
-	rawRun, run, st, err := pq.pinnedRaw(plan)
-	if err != nil || st == nil {
-		return stats, nil, err
+	if p.st == nil {
+		if plan != nil {
+			plan(pq.Explain())
+		}
+		return stats, nil
 	}
-	err = engine.RunShaped(ctx, rawRun, run, st.shape, &stats, yield)
-	stats.PlanWidth, stats.PlanCost = st.width, st.cost
-	return stats, st, err
+	if plan != nil {
+		plan(pq.explainState(p.st))
+	}
+	var err error
+	if raw {
+		err = p.raw(ctx, p.problem, &stats, yield)
+	} else {
+		err = engine.RunShaped(ctx, p.raw, p.problem, p.st.shape, &stats, yield)
+	}
+	stats.PlanWidth, stats.PlanCost = p.st.width, p.st.cost
+	return stats, err
 }
 
-// StreamRawContext runs the prepared query and yields RAW evaluation
-// tuples: full extended-GAO-order rows (hidden constant positions
-// first, then the GAO variables), dictionary-decoded, with range bounds
-// already pushed down — but with no projection, dedup or aggregation
-// applied. Tuples arrive in extended-GAO-lexicographic order and are
-// fresh slices the callback may retain; yield returning false stops the
-// run with a nil error.
+// streamPinned pins a plan state and runs the shaped query against it,
+// returning the state alongside the run's stats (nil for the
+// provably-empty no-work path).
+func (pq *PreparedQuery) streamPinned(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, *prepState, error) {
+	p, err := pq.pin()
+	if err != nil {
+		return Stats{}, nil, err
+	}
+	stats, err := pq.run(ctx, p, false, plan, yield)
+	return stats, p.st, err
+}
+
+// Pin pins the plan state one run executes under — re-planning first
+// if a bound relation was mutated — and returns that run, to be called
+// once. Pinning is split from running so that a caller can pin several
+// prepared queries under one lock of its own, held by its mutations
+// too: their runs then read one mutation-consistent cut of the data
+// however long they take, and run concurrently outside the lock.
 //
+// A raw run yields RAW evaluation tuples: full extended-GAO-order rows
+// (hidden constant positions first, then the GAO variables),
+// dictionary-decoded, with range bounds already pushed down — but with
+// no projection, dedup or aggregation applied. Tuples arrive in
+// extended-GAO-lexicographic order and are fresh slices the callback
+// may retain; yield returning false stops the run with a nil error.
 // This is the scatter half of sharded execution: internal/shard runs
 // one raw stream per fragment shard, merges them (the raw order is
-// total and shard-disjoint on the partition attribute), and applies the
-// query's shape exactly once on the gathered stream — which is what
-// makes sharded output byte-identical to unsharded. The plan callback,
-// when non-nil, is invoked with the run's pinned plan before the first
-// yield, like StreamContextExplained.
-func (pq *PreparedQuery) StreamRawContext(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, error) {
-	var stats Stats
-	rawRun, run, st, err := pq.pinnedRaw(plan)
-	if err != nil || st == nil {
-		return stats, err
+// total and shard-disjoint on the partition attribute), and applies
+// the query's shape exactly once on the gathered stream — which is what
+// makes sharded output byte-identical to unsharded. A shaped run is
+// StreamContextExplained's. Either way the plan callback, when
+// non-nil, is invoked with the run's pinned plan before the first
+// yield.
+func (pq *PreparedQuery) Pin(raw bool) (func(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, error), error) {
+	p, err := pq.pin()
+	if err != nil {
+		return nil, err
 	}
-	err = rawRun(ctx, run, &stats, yield)
-	stats.PlanWidth, stats.PlanCost = st.width, st.cost
-	return stats, err
+	return func(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, error) {
+		return pq.run(ctx, p, raw, plan, yield)
+	}, nil
 }
 
 // ShapePlan resolves the query's shaping under the given evaluation
