@@ -4,7 +4,8 @@
 // stable addresses, one allocation per chunk instead of one per object —
 // and Rewind restarts the hand-out without releasing memory, so a
 // steady-state consumer stops allocating once it has reached its
-// high-water footprint.
+// high-water footprint. Tuples is its never-rewound counterpart for
+// output tuples, which the receiver owns.
 package arena
 
 // chunkSize is the allocation granularity in slots.
@@ -36,3 +37,34 @@ func (a *Arena[T]) Alloc() *T {
 
 // Rewind restarts the hand-out at the first slot, retaining every chunk.
 func (a *Arena[T]) Rewind() { a.chunk, a.slot = 0, 0 }
+
+// TupleBlock is how many tuples share one flat backing array in Tuples.
+const TupleBlock = 128
+
+// Tuples carves fixed-width tuples out of flat blocks of TupleBlock
+// tuples: one allocation per block instead of one per tuple. Every
+// carve is a distinct full-capacity slice of a block that is never
+// reused, so a receiver may retain it (and append to it without
+// clobbering its neighbours); retaining one keeps its whole block
+// reachable. The zero value with Width set (> 0) is ready for use.
+type Tuples struct {
+	Width int
+	buf   []int
+}
+
+// Next returns a fresh tuple of length Width for the caller to fill.
+func (a *Tuples) Next() []int {
+	if cap(a.buf)-len(a.buf) < a.Width {
+		a.buf = make([]int, 0, TupleBlock*a.Width)
+	}
+	start := len(a.buf)
+	a.buf = a.buf[:start+a.Width]
+	return a.buf[start:len(a.buf):len(a.buf)]
+}
+
+// Copy returns a fresh copy of t, which must have length Width.
+func (a *Tuples) Copy(t []int) []int {
+	out := a.Next()
+	copy(out, t)
+	return out
+}

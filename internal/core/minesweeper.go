@@ -11,27 +11,6 @@ import (
 	"minesweeper/internal/ordered"
 )
 
-// tupleBlockSize is how many output tuples share one flat backing array.
-// Emitted tuples are retainable by the receiver — each is a distinct
-// carve of a block that is never reused — but cost one allocation per
-// block instead of one per tuple.
-const tupleBlockSize = 128
-
-// tupleArena carves retainable tuple copies out of flat blocks.
-type tupleArena struct {
-	width int
-	buf   []int
-}
-
-func (a *tupleArena) copy(t []int) []int {
-	if cap(a.buf)-len(a.buf) < a.width {
-		a.buf = make([]int, 0, tupleBlockSize*a.width)
-	}
-	start := len(a.buf)
-	a.buf = append(a.buf, t...)
-	return a.buf[start:len(a.buf):len(a.buf)]
-}
-
 // MinesweeperStreamContext evaluates the join with Algorithm 2 of the
 // paper, calling emit for every output tuple; emit returns false to stop
 // after the current tuple. The stats receiver may be nil. Probe points
@@ -39,24 +18,29 @@ func (a *tupleArena) copy(t []int) []int {
 // near-optimal for β-acyclic GAOs (Theorem 2.7) and falls back to the
 // shadow-chain walk for general GAOs (Theorem 5.1).
 //
-// Because Minesweeper discovers outputs one probe point at a time (it
-// never builds intermediate results), stopping after k tuples costs only
-// the work for those k probes plus the constraints learned so far — the
-// anytime behaviour that worst-case-optimal algorithms lack. Probe
-// points arrive in increasing lexicographic order (GetProbePoint always
-// returns the smallest active point and the ruled-out region only
-// grows), so output tuples stream in GAO-lexicographic order. The
-// context is checked once per probe point (the outer loop of
-// Algorithm 2), and evaluation stops with ctx.Err() when it is
-// cancelled or its deadline passes.
+// Because Minesweeper discovers outputs as it probes (it never builds
+// intermediate results), stopping after k tuples costs only the work
+// for those k outputs plus the constraints learned so far — the anytime
+// behaviour that worst-case-optimal algorithms lack. Probe points arrive
+// in increasing lexicographic order (GetProbePoint always returns the
+// smallest active point and the ruled-out region only grows), so output
+// tuples stream in GAO-lexicographic order. An output probe point is
+// followed by a walk of its last GAO level: the outputs sharing its
+// prefix t1…t_{n-1} are the leapfrog intersection of the last-level
+// sibling runs of the atoms ending there, so they cost no probe point
+// and no {ℓ,h} sweep, and one constraint ⟨t1,…,t_{n-1},(t_n−1, +∞)⟩
+// rules the whole run out. The context is checked once per probe point
+// (the outer loop of Algorithm 2) and before each further tuple of a
+// run, and evaluation stops with ctx.Err() when it is cancelled or its
+// deadline passes.
 //
 // Emitted tuples are owned by the receiver (they are never reused), and
 // are block-allocated: retaining one keeps its whole block of up to
-// tupleBlockSize tuples reachable.
+// arena.TupleBlock tuples reachable.
 func MinesweeperStreamContext(ctx context.Context, p *Problem, stats *certificate.Stats, emit func([]int) bool) error {
-	arena := tupleArena{width: len(p.GAO)}
+	out := arena.Tuples{Width: len(p.GAO)}
 	return minesweeperShared(ctx, p, stats, func(t []int) bool {
-		return emit(arena.copy(t))
+		return emit(out.Copy(t))
 	})
 }
 
@@ -94,13 +78,16 @@ func releaseTree(tr *cds.Tree) {
 
 // msScratch is the per-run working set of the outer algorithm, pooled
 // across executions: the per-atom exploration trees and index-path
-// buffers of Algorithm 2 lines 4–10 and the shared constraint-prefix
+// buffers of Algorithm 2 lines 4–10, the shared constraint-prefix
 // buffer (safe to reuse per insertion — InsConstraint never retains its
-// input). Steady-state executions allocate nothing from here.
+// input), and the last-level walk's run cursors and emitted tuple.
+// Steady-state executions allocate nothing from here.
 type msScratch struct {
 	expl   []*gapNode
 	atoms  []atomScratch
 	prefix cds.Pattern
+	runs   []lastRun
+	out    []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return &msScratch{} }}
@@ -131,6 +118,18 @@ func (sc *msScratch) prepare(p *Problem, n int) {
 		sc.prefix = make(cds.Pattern, n-1)
 	}
 	sc.prefix = sc.prefix[:n-1]
+	if cap(sc.out) < n {
+		sc.out = make([]int, n)
+	}
+	sc.out = sc.out[:n]
+}
+
+// release returns the scratch to its pool, dropping the last walk's
+// references into index levels so a pooled scratch never keeps a
+// replaced index alive.
+func (sc *msScratch) release() {
+	clear(sc.runs[:cap(sc.runs)])
+	scratchPool.Put(sc)
 }
 
 // minesweeperShared is the engine core. emit receives the CDS probe
@@ -145,7 +144,7 @@ func minesweeperShared(ctx context.Context, p *Problem, stats *certificate.Stats
 	defer p.Detach()
 
 	sc := scratchPool.Get().(*msScratch)
-	defer scratchPool.Put(sc)
+	defer sc.release()
 	sc.prepare(p, n)
 	seedBounds(tree, p.Bounds, sc.prefix)
 
@@ -164,17 +163,27 @@ func minesweeperShared(ctx context.Context, p *Problem, stats *certificate.Stats
 			if stats != nil {
 				stats.Outputs++
 			}
-			keep := emit(t)
-			// Rule the output tuple out: ⟨t1,…,t_{n-1},(t_n−1, t_n+1)⟩.
+			if !emit(t) {
+				return nil
+			}
+			if keep, err := walkLastLevel(ctx, p, sc, t, stats, emit); err != nil || !keep {
+				return err
+			}
+			// An output breaks every widening streak: a gap re-found on
+			// both sides of a run is not the empty-rectangle grind that
+			// noteGap looks for.
+			for i := range sc.atoms {
+				sc.atoms[i].lastDepth = -1
+			}
+			// The walk emitted every output above t under its prefix, so
+			// one constraint rules the rest of the prefix out:
+			// ⟨t1,…,t_{n-1},(t_n−1, +∞)⟩.
 			prefix := sc.prefix[:n-1]
 			for j := 0; j < n-1; j++ {
 				prefix[j] = cds.Eq(t[j])
 			}
-			lo, hi := ruledOutInterval(t[n-1])
-			tree.InsConstraint(cds.Constraint{Prefix: prefix, Lo: lo, Hi: hi})
-			if !keep {
-				return nil
-			}
+			lo, _ := ruledOutInterval(t[n-1])
+			tree.InsConstraint(cds.Constraint{Prefix: prefix, Lo: lo, Hi: ordered.PosInf})
 			continue
 		}
 		// Insert every discovered gap (Algorithm 2 lines 15–20).
@@ -189,6 +198,120 @@ func minesweeperShared(ctx context.Context, p *Problem, stats *certificate.Stats
 		}
 	}
 	return nil
+}
+
+// lastRun is one atom's cursor over the last-level sibling run that a
+// walk intersects: vals[pos] is the current value, end bounds the run.
+type lastRun struct {
+	vals     []int
+	pos, end int
+}
+
+// walkLastLevel emits the outputs that follow the output probe point t
+// under its prefix t1…t_{n-1}. Every atom whose last position is n−1
+// has t's path in its index, so the candidates for t_n are the sibling
+// run under that path; the atoms that stop earlier are satisfied by the
+// prefix alone, and so is every CDS constraint below t (t is the
+// smallest active point, and the gaps the CDS holds rule out no
+// output). A leapfrog intersection of the runs upward from t_n, clipped
+// to the last position's bound, therefore lists exactly the outputs
+// Algorithm 2 would otherwise find one probe point and one {ℓ,h} sweep
+// each. Tuples are emitted from scratch, never t itself, and ctx is
+// checked before each of them. The walk ends when the runs hold no
+// further output, or early when emit returns false (keep is false) or
+// ctx is done (its error is returned) — the run stops there too.
+func walkLastLevel(ctx context.Context, p *Problem, sc *msScratch, t []int, stats *certificate.Stats, emit func([]int) bool) (keep bool, err error) {
+	n := len(t)
+	runs := sc.runs[:0]
+	for i := range p.Atoms {
+		a := &p.Atoms[i]
+		k := len(a.Positions)
+		if a.Positions[k-1] != n-1 {
+			continue
+		}
+		// Resolve the exact path: every node of an output's exploration
+		// holds its child index in lo (== hi).
+		nd := sc.expl[i]
+		lo, hi := a.Tree.Top()
+		for d := 0; d < k-1; d++ {
+			lo, hi = a.Tree.Children(d, lo+nd.lo)
+			nd = nd.hiChild
+		}
+		runs = append(runs, lastRun{vals: a.Tree.Level(k - 1), pos: lo + nd.lo, end: hi})
+	}
+	sc.runs = runs
+	limit := ordered.PosInf - 1
+	if p.Bounds != nil {
+		limit = p.Bounds[n-1].Hi
+	}
+	copy(sc.out, t)
+	var steps int64
+	defer func() {
+		if stats != nil {
+			stats.Comparisons += steps
+		}
+	}()
+	for {
+		// Step the first cursor past the last output, then leapfrog every
+		// cursor up to a common value.
+		r := &runs[0]
+		r.pos++
+		steps++
+		if r.pos >= r.end {
+			return true, nil
+		}
+		v := r.vals[r.pos]
+		for i, agree := 1%len(runs), 1; agree < len(runs); i = (i + 1) % len(runs) {
+			r := &runs[i]
+			r.pos = seekRun(r.vals, r.pos, r.end, v, &steps)
+			if r.pos >= r.end {
+				return true, nil
+			}
+			if w := r.vals[r.pos]; w > v {
+				v, agree = w, 1
+			} else {
+				agree++
+			}
+		}
+		if v > limit {
+			return true, nil
+		}
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
+		if stats != nil {
+			stats.Outputs++
+		}
+		sc.out[n-1] = v
+		if !emit(sc.out) {
+			return false, nil
+		}
+	}
+}
+
+// seekRun returns the first position in [pos, end) of the sorted vals
+// holding a value ≥ v (end when none does): a gallop from pos, then a
+// binary search, adding each comparison to *steps.
+func seekRun(vals []int, pos, end, v int, steps *int64) int {
+	lo, hi := pos, pos+1
+	for hi < end && vals[hi-1] < v {
+		*steps++
+		lo = hi
+		hi = pos + 2*(hi-pos)
+	}
+	if hi > end {
+		hi = end
+	}
+	for lo < hi {
+		*steps++
+		m := int(uint(lo+hi) >> 1)
+		if vals[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // seedBounds pushes per-position value bounds into the CDS before the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 
+	"minesweeper/internal/arena"
 	"minesweeper/internal/certificate"
 	"minesweeper/internal/core"
 )
@@ -120,12 +121,13 @@ type group struct {
 // RunShaped evaluates the problem through run and streams the shaped
 // output to emit. For plain (non-aggregate) shapes, shaped tuples are
 // emitted in the engines' GAO-lexicographic discovery order — identical
-// across engines — with fresh slices the callback may retain; emit
-// returning false stops the run. For aggregate shapes the evaluation
-// runs to completion first (aggregation needs every raw tuple), then
-// the group rows stream sorted by group key. stats counts the raw run:
-// stats.Outputs is the number of raw join tuples the engine emitted,
-// which may exceed the shaped rows delivered.
+// across engines — with fresh slices the callback may retain, carved
+// from blocks of arena.TupleBlock tuples; emit returning false stops
+// the run. For aggregate shapes the evaluation runs to completion first
+// (aggregation needs every raw tuple), then the group rows stream
+// sorted by group key. stats counts the raw run: stats.Outputs is the
+// number of raw join tuples the engine emitted, which may exceed the
+// shaped rows delivered.
 func RunShaped(ctx context.Context, run RunFunc, p *core.Problem, sh *Shape, stats *certificate.Stats, emit func([]int) bool) error {
 	if sh.Identity() {
 		return run(ctx, p, stats, emit)
@@ -141,6 +143,7 @@ func RunShaped(ctx context.Context, run RunFunc, p *core.Problem, sh *Shape, sta
 		seen = map[string]struct{}{}
 	}
 	var keyBuf []byte
+	shaped := arena.Tuples{Width: len(sh.Cols)}
 	return run(ctx, p, stats, func(t []int) bool {
 		if sh.Bounds != nil && !sh.inBounds(t) {
 			return true
@@ -152,7 +155,7 @@ func RunShaped(ctx context.Context, run RunFunc, p *core.Problem, sh *Shape, sta
 			}
 			seen[string(keyBuf)] = struct{}{}
 		}
-		out := make([]int, len(sh.Cols))
+		out := shaped.Next()
 		for i, c := range sh.Cols {
 			out[i] = t[c]
 		}

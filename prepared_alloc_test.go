@@ -16,6 +16,11 @@ const (
 
 func preparedForAlloc(t *testing.T, rTuples, sTuples [][]int) *PreparedQuery {
 	t.Helper()
+	return preparedForAllocGAO(t, rTuples, sTuples, []string{"A", "B", "C"})
+}
+
+func preparedForAllocGAO(t *testing.T, rTuples, sTuples [][]int, gao []string) *PreparedQuery {
+	t.Helper()
 	r, err := NewRelation("R", 2, rTuples)
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +36,7 @@ func preparedForAlloc(t *testing.T, rTuples, sTuples [][]int) *PreparedQuery {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := q.Prepare(&Options{GAO: []string{"A", "B", "C"}})
+	pq, err := q.Prepare(&Options{GAO: gao})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,5 +99,37 @@ func TestPreparedWarmPathOutputAllocScaling(t *testing.T) {
 	}
 	if got > warmOutputBudget {
 		t.Errorf("warm 100-output Stream: %v allocs/run, budget %d", got, warmOutputBudget)
+	}
+}
+
+func TestPreparedWarmPathShapedAllocScaling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates; budgets measured without -race")
+	}
+	// The GAO [B A C] is not the output order [A B C], so every tuple is
+	// shaped: shaped tuples, like the engine's, must come from blocks.
+	// A run then costs one engine block and one shaped block per 128
+	// tuples on top of the fixed per-run fixtures.
+	const z = 512
+	var rT, sT [][]int
+	for i := 0; i < 32; i++ {
+		if i < z/32 {
+			rT = append(rT, []int{i, 0})
+		}
+		sT = append(sT, []int{0, i})
+	}
+	pq := preparedForAllocGAO(t, rT, sT, []string{"B", "A", "C"})
+	n := 0
+	got := testing.AllocsPerRun(50, func() {
+		n = 0
+		if _, err := pq.Stream(func([]int) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n != z {
+		t.Fatalf("join produced %d tuples, want %d", n, z)
+	}
+	if budget := z/128 + warmOutputBudget; got > float64(budget) {
+		t.Errorf("warm shaped %d-output Stream: %v allocs/run, budget %d", z, got, budget)
 	}
 }
