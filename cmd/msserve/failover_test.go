@@ -42,7 +42,7 @@ func TestReplicatedFailoverAcceptance(t *testing.T) {
 	}
 	t.Cleanup(func() { sc.Close() })
 
-	// A dense join so every shard's substream is still running when the
+	// A dense join so the run is still streaming when the
 	// replica is poisoned mid-stream.
 	var rT, sT [][]int
 	for i := 0; i < 500; i++ {

@@ -36,7 +36,8 @@
 //
 // The data plane is always one owner of -shards N x -replicas R
 // (defaults 1 x 1): every relation is partitioned across N fragment
-// owners with scatter-gather execution, and every fragment owner logs
+// owners, a query runs once over the whole relations (a range
+// partition's splits cut its morsels), and every fragment owner logs
 // to R synchronous replicas while holding its data in memory once.
 // With -data-dir it is durable: each replica has its own directory (shard-<i>/replica-<j>/, routing in shards.json), every
 // mutation is appended to a CRC-checked write-ahead log before it
@@ -48,7 +49,7 @@
 //
 // A replica whose storage poisons is failed over: mutations keep
 // logging to its healthy siblings, running queries finish on the
-// in-memory fragments they pinned (the stream stays byte-identical),
+// in-memory relations they pinned (the stream stays byte-identical),
 // and the background reopen loop recovers each dead replica on an
 // independent backoff schedule while /readyz stays ready.
 //
@@ -89,7 +90,7 @@ func main() {
 	dataDir := flag.String("data-dir", "", "durable storage directory (empty = in-memory, nothing survives a restart)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long in-flight streams may drain at shutdown")
 	fsync := flag.Bool("fsync", false, "with -data-dir: fsync the WAL on every mutation (safer, slower)")
-	shards := flag.Int("shards", 1, "partition relations across N goroutine-owned shards with scatter-gather execution (with -data-dir: one WAL directory per shard)")
+	shards := flag.Int("shards", 1, "partition relations across N shards; a range partition's splits cut each run's morsels (with -data-dir: one WAL directory per shard)")
 	replicas := flag.Int("replicas", 1, "log every shard to R synchronous replicas (its data stays in memory once); a poisoned replica is failed over on the next mutation")
 	cfg := defaultServerConfig()
 	flag.IntVar(&cfg.maxRuns, "max-runs", cfg.maxRuns, "max concurrent query executions (<=0 unlimited)")

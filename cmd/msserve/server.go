@@ -919,10 +919,10 @@ func (s *server) handleAdhocQuery(w http.ResponseWriter, r *http.Request) {
 //
 // The engine executes behind a recover boundary: a panicking query
 // becomes a 500 (or a terminal error record mid-stream) and a /stats
-// counter bump, never a dead process. The goroutines a run starts —
-// range morsels (Workers) and shard substreams — recover their panics
+// counter bump, never a dead process. The only goroutines a run starts
+// are its range-morsel workers (Workers), which recover their panics
 // into errors themselves, so this boundary completes the isolation for
-// every engine path.
+// every engine path, sharded or not.
 func (s *server) streamRun(w http.ResponseWriter, r *http.Request, rq *registeredQuery, params runParams) {
 	release, err := s.runGate.acquire(r.Context())
 	if err != nil {
@@ -1203,18 +1203,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"index_builds_total": reltree.Builds(),
 		"index_merges_total": reltree.Merges(),
 	}
-	// Per-shard scatter counters: runs, inflight and queued substreams
-	// (queued > 0 marks a hot shard whose substream outpaces the merge),
-	// substream panics (each ended its run with an error), data volume
-	// and per-shard storage health. Reads never fail over, so failovers
-	// counts write-path moves of a shard's primary replica only.
-	sh := s.cat.ShardStats()
-	body["shards"] = sh
-	var panics int64
-	for _, st := range sh {
-		panics += st.Panics
-	}
-	health["substream_panics"] = panics
+	// Per-shard data volume and storage health. Reads never fail over,
+	// so failovers counts write-path moves of a shard's primary replica
+	// only.
+	body["shards"] = s.cat.ShardStats()
 	health["failovers"] = s.cat.Failovers()
 	if s.runs > 0 {
 		body["alloc_objects_per_run"] = float64(allocObjs) / float64(s.runs)

@@ -16,11 +16,12 @@ import (
 // method is safe for concurrent use and consistent under one call (a
 // snapshot and its epoch are taken under one lock acquisition).
 //
-// *Relation is the trivial in-process implementation. internal/shard
-// partitions catalog relations into N Fragment-owning shards and runs
-// scatter-gather joins across them; because the executor only sees
-// this interface, a future cross-process fragment (the methods are
-// all value-shaped: names, counts, tuple rows, permutations) is a new
+// *Relation is the one implementation. internal/shard partitions
+// catalog relations across N shards for durability, but a query binds
+// the whole relations: a range partition on the leading GAO attribute
+// only cuts the run's morsels (PreparedQuery.Pin), it never swaps a
+// fragment in. The methods are all value-shaped (names, counts, tuple
+// rows, permutations), so a cross-process fragment would be a new
 // implementation, not another refactor.
 type Fragment interface {
 	// Name identifies the fragment's relation (fragments of one sharded
@@ -51,37 +52,13 @@ type Fragment interface {
 
 // Atoms returns a copy of the query's atoms as validated: constant
 // columns appear rewritten to their hidden attribute names (which start
-// with '#', so they can never collide with query variables). The
-// scatter planner inspects these bindings to find an atom whose
-// partition column is bound to the leading GAO attribute.
+// with '#', so they can never collide with query variables). The shard
+// layer inspects these bindings to find an atom whose partition column
+// is bound to the leading GAO attribute.
 func (q *Query) Atoms() []Atom {
 	out := make([]Atom, len(q.atoms))
 	for i, a := range q.atoms {
 		out[i] = Atom{Rel: a.Rel, Vars: append([]string(nil), a.Vars...)}
 	}
 	return out
-}
-
-// CloneWithRelations returns a copy of the query with each atom's
-// fragment replaced by replace(i, fragment) — the scatter primitive:
-// internal/shard rebinds a planned query onto one shard's fragments
-// without re-parsing or re-validating. The replacement must preserve
-// name and arity (it is a different owner of the same relation, not a
-// different relation). Parsed shaping clauses, hidden constants and
-// the hypergraph carry over unchanged; replace returning the fragment
-// it was given keeps that atom as-is.
-func (q *Query) CloneWithRelations(replace func(i int, f Fragment) Fragment) *Query {
-	cp := &Query{
-		vars:   append([]string(nil), q.vars...),
-		hidden: append([]hiddenConst(nil), q.hidden...),
-		hg:     q.hg,
-		sel:    append([]string(nil), q.sel...),
-		where:  append([]Filter(nil), q.where...),
-		aggs:   append([]Aggregate(nil), q.aggs...),
-	}
-	cp.atoms = make([]Atom, len(q.atoms))
-	for i, a := range q.atoms {
-		cp.atoms[i] = Atom{Rel: replace(i, a.Rel), Vars: append([]string(nil), a.Vars...)}
-	}
-	return cp
 }

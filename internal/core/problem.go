@@ -94,6 +94,14 @@ type Problem struct {
 	// to the paper's per-attribute interval gaps. Exists for the
 	// interval-vs-box benchmark comparison; leave false for normal runs.
 	DisableBoxes bool
+	// Splits, when non-empty, are ascending values of GAO position
+	// SplitPos that a range-morsel run must cut at: no morsel holds both
+	// a value below a split and one at or above it. A range partition's
+	// split points land here (engine.Parallel), so each partition range
+	// is evaluated by morsels of its own. Engines that run the problem
+	// whole ignore them.
+	Splits   []int
+	SplitPos int
 }
 
 // ColumnPlan computes, for an atom with the given attributes under the
@@ -232,7 +240,7 @@ func NewProblem(gao []string, atoms []AtomSpec) (*Problem, error) {
 // receiver to its snapshot, which is what makes a cached problem safe for
 // concurrent executions.
 func (p *Problem) Snapshot() *Problem {
-	cp := &Problem{GAO: p.GAO, Bounds: p.Bounds, Debug: p.Debug, DisableBoxes: p.DisableBoxes}
+	cp := &Problem{GAO: p.GAO, Bounds: p.Bounds, Debug: p.Debug, DisableBoxes: p.DisableBoxes, Splits: p.Splits, SplitPos: p.SplitPos}
 	cp.Atoms = make([]Atom, len(p.Atoms))
 	views := make([]reltree.Tree, len(p.Atoms))
 	for i, a := range p.Atoms {

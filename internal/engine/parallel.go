@@ -36,21 +36,35 @@ type morsel struct {
 // stream is the sequential one, and its first tuple arrives after one
 // morsel.
 //
+// A problem's Splits are morsel boundaries too. This is how a range
+// partition runs: every partition range is evaluated by morsels of its
+// own, at any worker count. At workers ≤ 1 those morsels run in order
+// on the calling goroutine, each emitting straight through — no buffer,
+// no goroutine — so a split run keeps e.Run's own contract, panics
+// included.
+//
 // The package contract holds: ctx is checked before every emit, emit
 // returning false cancels the outstanding morsels, and a panicking
 // morsel becomes an error after the tuples of the morsels before it.
 // Morsel stats are summed into stats, with Outputs corrected to the
 // tuples emitted. Only an IndexOnly engine is spread — one that rebuilds
-// Ω(N) state per run would rebuild it per morsel — so for any other, or
-// for workers ≤ 1, Parallel returns e.Run itself.
+// Ω(N) state per run would rebuild it per morsel — so for any other
+// Parallel returns e.Run itself, and with workers ≤ 1 and no splits a
+// run is e.Run's.
 func Parallel(e Engine, workers int) RunFunc {
-	if workers <= 1 || !e.IndexOnly {
+	if !e.IndexOnly {
 		return e.Run
 	}
 	return func(ctx context.Context, p *core.Problem, stats *certificate.Stats, emit func([]int) bool) error {
+		if workers <= 1 && len(p.Splits) == 0 {
+			return e.Run(ctx, p, stats, emit)
+		}
 		pos, ms := cut(p, workers)
 		if len(ms) < 2 {
 			return e.Run(ctx, p, stats, emit)
+		}
+		if workers <= 1 {
+			return inOrder(ctx, e.Run, p, pos, ms, stats, emit)
 		}
 		wctx, cancel := context.WithCancel(ctx)
 		work := make(chan *morsel, len(ms))
@@ -105,9 +119,40 @@ func Parallel(e Engine, workers int) RunFunc {
 	}
 }
 
-// run evaluates the morsel's slice of p — SliceTop views of the atoms
-// leading with GAO position pos, the others shared whole — buffering its
-// output; a panic is recovered into the morsel's error.
+// inOrder runs the morsels one after another on the calling goroutine,
+// each straight into emit and stats.
+func inOrder(ctx context.Context, run RunFunc, p *core.Problem, pos int, ms []morsel, stats *certificate.Stats, emit func([]int) bool) error {
+	stopped := false
+	pass := func(t []int) bool {
+		stopped = !emit(t)
+		return !stopped
+	}
+	for i := range ms {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := run(ctx, ms[i].slice(p, pos), stats, pass); err != nil || stopped {
+			return err
+		}
+	}
+	return nil
+}
+
+// slice returns a snapshot of p whose atoms leading with GAO position
+// pos are SliceTop views over the morsel's range; the others are shared
+// whole.
+func (m *morsel) slice(p *core.Problem, pos int) *core.Problem {
+	sub := p.Snapshot()
+	for i, a := range p.Atoms {
+		if len(a.Positions) > 0 && a.Positions[0] == pos {
+			sub.Atoms[i].Tree = a.Tree.SliceTop(m.lo, m.hi)
+		}
+	}
+	return sub
+}
+
+// run evaluates the morsel's slice of p, buffering its output; a panic
+// is recovered into the morsel's error.
 func (m *morsel) run(ctx context.Context, run RunFunc, p *core.Problem, pos int) {
 	defer close(m.done)
 	if m.err = ctx.Err(); m.err != nil {
@@ -118,12 +163,7 @@ func (m *morsel) run(ctx context.Context, run RunFunc, p *core.Problem, pos int)
 			m.err = fmt.Errorf("engine: morsel [%d, %d] panicked: %v", m.lo, m.hi, r)
 		}
 	}()
-	sub := p.Snapshot()
-	for i, a := range p.Atoms {
-		if len(a.Positions) > 0 && a.Positions[0] == pos {
-			sub.Atoms[i].Tree = a.Tree.SliceTop(m.lo, m.hi)
-		}
-	}
+	sub := m.slice(p, pos)
 	// A context of its own: engines check ctx.Err() per probe or per
 	// search level, and cancelCtx.Err takes the context's mutex, which
 	// workers sharing one context would contend on.
@@ -140,8 +180,10 @@ func (m *morsel) run(ctx context.Context, run RunFunc, p *core.Problem, pos int)
 // every output shares, so ranges of the next position still concatenate
 // in GAO-lex order — and splits the values the smallest atom leading
 // with it holds there (every output's value is one of them), within the
-// position's bound, into about morselsPerWorker·workers contiguous
-// morsels. Fewer than two morsels mean the problem runs whole.
+// position's bound, into contiguous morsels: about
+// morselsPerWorker·workers of equal length when workers > 1, each cut
+// again at every split of the problem's that falls on the position.
+// Fewer than two morsels mean the problem runs whole.
 func cut(p *core.Problem, workers int) (pos int, ms []morsel) {
 	if p.Bounds != nil {
 		for pos < len(p.GAO)-1 && p.Bounds[pos].Lo == p.Bounds[pos].Hi {
@@ -161,10 +203,29 @@ func cut(p *core.Problem, workers int) (pos int, ms []morsel) {
 		hi := sort.Search(len(vals), func(i int) bool { return vals[i] > b.Hi })
 		vals = vals[lo:max(lo, hi)]
 	}
-	n := min(morselsPerWorker*workers, len(vals))
-	ms = make([]morsel, n)
-	for i := range ms {
-		ms[i] = morsel{lo: vals[i*len(vals)/n], hi: vals[(i+1)*len(vals)/n-1], done: make(chan struct{})}
+	n := 1
+	if workers > 1 {
+		n = morselsPerWorker * workers
+	}
+	n = min(n, len(vals))
+	starts := make([]int, n, n+len(p.Splits))
+	for i := range starts {
+		starts[i] = i * len(vals) / n
+	}
+	for _, s := range p.Splits {
+		if i, _ := slices.BinarySearch(vals, s); pos == p.SplitPos && i > 0 && i < len(vals) {
+			starts = append(starts, i)
+		}
+	}
+	slices.Sort(starts)
+	starts = slices.Compact(starts)
+	ms = make([]morsel, len(starts))
+	for i, s := range starts {
+		end := len(vals)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		ms[i] = morsel{lo: vals[s], hi: vals[end-1], done: make(chan struct{})}
 	}
 	return pos, ms
 }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -240,6 +242,138 @@ func TestParallelPanickingMorsel(t *testing.T) {
 			if len(got) >= len(full) || !slices.EqualFunc(got, full[:len(got)], slices.Equal) {
 				t.Fatalf("%s workers %d: %d tuples before the error are not a proper prefix of the %d-tuple stream",
 					name, workers, len(got), len(full))
+			}
+		}
+	}
+}
+
+// splitProblem is a two-atom join whose leading attribute A runs over
+// 0..63, with splits at the values a range partition of it over four
+// shards would have.
+func splitProblem(t *testing.T) *core.Problem {
+	t.Helper()
+	var r, s [][]int
+	for a := 0; a < 64; a++ {
+		r = append(r, []int{a, a % 5}, []int{a, a % 3})
+		s = append(s, []int{a % 5, a}, []int{a % 3, a + 1})
+	}
+	p := newProblem(t, []string{"A", "B", "C"}, []core.AtomSpec{
+		{Name: "R", Attrs: []string{"A", "B"}, Tuples: r},
+		{Name: "S", Attrs: []string{"B", "C"}, Tuples: s},
+	})
+	p.SplitPos, p.Splits = 0, []int{10, 37, 50}
+	return p
+}
+
+// leadRange is the range of leading values a morsel's R view holds.
+func leadRange(p *core.Problem) (lo, hi int) {
+	tr := p.Atoms[0].Tree
+	l, h := tr.Top()
+	vals := tr.Level(0)[l:h]
+	return vals[0], vals[len(vals)-1]
+}
+
+// TestParallelSplitsAreMorselBoundaries: at every worker count, no
+// morsel holds leading values on both sides of a split, and the stream
+// is the sequential one.
+func TestParallelSplitsAreMorselBoundaries(t *testing.T) {
+	p := splitProblem(t)
+	eng, _ := Lookup("minesweeper")
+	whole := p.Snapshot()
+	whole.Splits = nil
+	want := collect(t, eng.Run, 1, whole, nil)
+	for _, workers := range []int{1, 2, 4} {
+		var morsels atomic.Int32
+		recording := func(ctx context.Context, sub *core.Problem, st *certificate.Stats, emit func([]int) bool) error {
+			morsels.Add(1)
+			lo, hi := leadRange(sub)
+			for _, s := range p.Splits {
+				if lo < s && s <= hi {
+					t.Errorf("workers %d: morsel [%d, %d] straddles split %d", workers, lo, hi, s)
+				}
+			}
+			return eng.Run(ctx, sub, st, emit)
+		}
+		if got := collect(t, recording, workers, p, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers %d: split run diverges from the sequential stream", workers)
+		}
+		if n := morsels.Load(); int(n) < len(p.Splits)+1 {
+			t.Fatalf("workers %d: %d morsels for %d splits", workers, n, len(p.Splits))
+		}
+	}
+}
+
+// TestParallelSplitsInOrderStartNoGoroutine: at one worker the split
+// morsels run on the calling goroutine, so a run starts no goroutine.
+func TestParallelSplitsInOrderStartNoGoroutine(t *testing.T) {
+	p := splitProblem(t)
+	eng, _ := Lookup("minesweeper")
+	base := runtime.NumGoroutine()
+	most, morsels := 0, 0
+	counting := func(ctx context.Context, sub *core.Problem, st *certificate.Stats, emit func([]int) bool) error {
+		morsels++
+		return eng.Run(ctx, sub, st, func(tu []int) bool {
+			most = max(most, runtime.NumGoroutine())
+			return emit(tu)
+		})
+	}
+	if out := collect(t, counting, 1, p, nil); len(out) == 0 {
+		t.Fatal("empty stream")
+	}
+	if morsels != len(p.Splits)+1 {
+		t.Fatalf("%d morsels, want one per split range (%d)", morsels, len(p.Splits)+1)
+	}
+	if most > base {
+		t.Fatalf("a one-worker split run had %d goroutines, %d before it", most, base)
+	}
+}
+
+// TestParallelSplitsAnytime: a split run keeps the anytime contract at
+// every worker count — a limit-1 run stops after the first tuple and
+// reports it, and a cancelled run returns the context's error without
+// one more yield.
+func TestParallelSplitsAnytime(t *testing.T) {
+	p := splitProblem(t)
+	for _, name := range []string{"minesweeper", "leapfrog"} {
+		eng, _ := Lookup(name)
+		want := collect(t, eng.Run, 1, p, nil)
+		for _, workers := range []int{1, 2, 4} {
+			run := Parallel(eng, workers)
+			var got [][]int
+			var stats certificate.Stats
+			if err := run(context.Background(), p.Snapshot(), &stats, func(tu []int) bool {
+				got = append(got, tu)
+				return false
+			}); err != nil {
+				t.Fatalf("%s workers %d: limit-1 run: %v", name, workers, err)
+			}
+			if len(got) != 1 || !slices.Equal(got[0], want[0]) {
+				t.Fatalf("%s workers %d: limit-1 run yielded %v, want %v", name, workers, got, want[:1])
+			}
+			if stats.Outputs != 1 {
+				t.Fatalf("%s workers %d: limit-1 run reports %d outputs", name, workers, stats.Outputs)
+			}
+
+			// Cancel inside the morsel after the first split, so an
+			// in-order run has whole morsels left to start.
+			ctx, cancel := context.WithCancel(context.Background())
+			seen, late := 0, false
+			err := run(ctx, p.Snapshot(), nil, func(tu []int) bool {
+				if ctx.Err() != nil {
+					late = true
+				}
+				seen++
+				if tu[0] >= p.Splits[0] {
+					cancel()
+				}
+				return true
+			})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s workers %d: cancelled run returned %v", name, workers, err)
+			}
+			if late || seen >= len(want) {
+				t.Fatalf("%s workers %d: %d of %d tuples yielded, one after the cancel: %v", name, workers, seen, len(want), late)
 			}
 		}
 	}

@@ -79,9 +79,9 @@ type Case struct {
 	// WallClock marks a case whose result is a wall-clock time or
 	// depends on the scheduler, so its counters are not a function of
 	// the input alone: the E14 durability cases (no certificate work at
-	// all — the number is the fsync) and the E15 sharded cases (one
-	// goroutine per substream; replicated writes). Such cases appear in
-	// tables and benchmarks but not in counters.golden. Every other
+	// all — the number is the fsync) and E15's replicated writes. Such
+	// cases appear in tables and benchmarks but not in counters.golden.
+	// Every other
 	// case is sequential and gated — including the engine races of E3
 	// and E17, whose point is the tables' time column but whose
 	// counters are exact.

@@ -4,26 +4,12 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	minesweeper "minesweeper"
 	"minesweeper/internal/catalog"
 	"minesweeper/internal/relio"
 	"minesweeper/internal/storage"
 )
-
-// shardCounters is one shard's serving-side telemetry: scatter runs
-// started, substream tuples emitted, currently running substreams,
-// substream producers currently blocked on a full gather channel (the
-// hot-shard signal), and substream panics recovered (each one ended its
-// run with an error; nothing is retried).
-type shardCounters struct {
-	runs     atomic.Int64
-	emitted  atomic.Int64
-	inflight atomic.Int64
-	queued   atomic.Int64
-	panics   atomic.Int64
-}
 
 // ReplicaStat describes one replica of a shard for /stats.
 type ReplicaStat struct {
@@ -39,11 +25,6 @@ type ShardStat struct {
 	Primary   int           `json:"primary"`
 	Relations int           `json:"relations"`
 	Tuples    int           `json:"tuples"`
-	Runs      int64         `json:"runs"`
-	Inflight  int64         `json:"inflight"`
-	Queued    int64         `json:"queued"`
-	Emitted   int64         `json:"emitted"`
-	Panics    int64         `json:"panics,omitempty"`
 	Degraded  string        `json:"degraded,omitempty"`
 	Storage   storage.Stats `json:"storage"`
 	Replicas  []ReplicaStat `json:"replicas,omitempty"`
@@ -53,7 +34,8 @@ type ShardStat struct {
 // sets, each one catalog.Catalog held once in memory and logged to R
 // replica members (a storage.Backend and WAL directory each), and every
 // relation whole for parses, reads and plans — a query is built against
-// whole relations, fragments serve scatter execution and durability.
+// and runs over whole relations; fragments serve durability, and a range
+// partition's splits cut a run's morsels (Prepared).
 // One shard, one replica and the memory backend are parameters (New,
 // NewReplicated), not other types.
 //
@@ -69,8 +51,8 @@ type ShardStat struct {
 // A replica that fails to take a record its siblings accepted is
 // marked down and, if it was the primary, the next live one takes its
 // place — so a single replica failure never flips the shard read-only.
-// Failover is a write-path event only: a scattered run streams the
-// fragment objects its plan bound, which no storage fault can change.
+// Failover is a write-path event only: a run streams the in-memory
+// state its plan pinned, which no storage fault can change.
 type Catalog struct {
 	n   int
 	r   int
@@ -78,23 +60,20 @@ type Catalog struct {
 
 	// mu serializes mutations and partition changes, and runs pin
 	// their plans under it (see Prepared.StreamContextExplained).
-	mu       sync.Mutex
-	shards   []*catalog.Catalog
-	view     *catalog.Catalog // gathered copy; nil with one shard
-	parts    map[string]Partition
-	version  uint64 // bumped on parts changes; plans pin it
-	counters []shardCounters
+	mu     sync.Mutex
+	shards []*catalog.Catalog
+	view   *catalog.Catalog // gathered copy; nil with one shard
+	parts  map[string]Partition
 }
 
 func newCatalog(shards, replicas int, dir string) *Catalog {
 	shards, replicas = max(shards, 1), max(replicas, 1)
 	c := &Catalog{
-		n:        shards,
-		r:        replicas,
-		dir:      dir,
-		shards:   make([]*catalog.Catalog, shards),
-		parts:    make(map[string]Partition),
-		counters: make([]shardCounters, shards),
+		n:      shards,
+		r:      replicas,
+		dir:    dir,
+		shards: make([]*catalog.Catalog, shards),
+		parts:  make(map[string]Partition),
 	}
 	if shards > 1 {
 		c.view = catalog.New()
@@ -171,7 +150,7 @@ func (c *Catalog) ReplicaCount() int { return c.r }
 
 // PartitionOf returns the relation's current partition. ok is false for
 // unknown relations and for relations left unpartitioned by a partial
-// replace failure (those are excluded from scatter until repaired).
+// replace failure (those run unsliced until repaired).
 func (c *Catalog) PartitionOf(name string) (Partition, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -245,19 +224,16 @@ func (c *Catalog) lookupLocked(name string, tuples [][]int) (*minesweeper.Relati
 // under p, and the gathered copy by all of them. A shard-wide failure
 // leaves fragments under two different layouts, which breaks the
 // colocation invariant — the relation is demoted to unpartitioned
-// (gathered execution only, no scatter) until a restart repartitions
-// it.
+// (gathered execution only) until a restart repartitions it.
 func (c *Catalog) rewriteLocked(name string, p Partition, tuples [][]int, op mutation) (catalog.Info, error) {
 	info, err := c.routeLocked(name, tuples, p.split(tuples, c.n), true, op)
 	if err != nil {
 		delete(c.parts, name)
-		c.version++
 		c.rebuildViewLocked(name)
 		c.writeManifest()
 		return catalog.Info{}, err
 	}
 	c.parts[name] = p
-	c.version++
 	return info, c.writeManifest()
 }
 
@@ -284,7 +260,6 @@ func (c *Catalog) Create(name string, vars []string, tuples [][]int) (*minesweep
 		return nil, err
 	}
 	c.parts[name] = p
-	c.version++
 	if err := c.writeManifest(); err != nil {
 		return nil, err
 	}
@@ -307,7 +282,7 @@ func (c *Catalog) dropEverywhereLocked(name string) {
 // owning fragments by the relation's partition, apply per shard and to
 // the gathered copy. It returns the whole relation's tuple count before
 // and Info after. A relation left unpartitioned by a partial replace
-// failure is excluded from scatter until recovery repartitions it, so
+// failure runs unsliced until recovery repartitions it, so
 // placement is free: inserts park on shard 0, deletes broadcast to
 // every shard (correct under any placement). On a shard-wide failure
 // the gathered copy is rebuilt from the fragments so reads stay
@@ -375,9 +350,9 @@ func (c *Catalog) Replace(name string, tuples [][]int) (catalog.Info, error) {
 
 // ForcePartition rewrites the relation's fragments under an explicitly
 // given partition — an administrative/testing hook for exercising a
-// routing mode the statistics would not choose. Splits must be strictly
-// increasing for range mode. The whole relation keeps its rows, so the
-// gathered copy is left alone.
+// routing mode the statistics would not choose. The partition must pass
+// Partition.check. The whole relation keeps its rows, so the gathered
+// copy is left alone.
 func (c *Catalog) ForcePartition(name string, p Partition) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,16 +360,8 @@ func (c *Catalog) ForcePartition(name string, p Partition) error {
 	if err != nil {
 		return err
 	}
-	if p.Column < 0 || p.Column >= rel.Arity() {
-		return fmt.Errorf("shard: partition column %d out of range for arity %d", p.Column, rel.Arity())
-	}
-	if p.Mode != ModeHash && p.Mode != ModeRange {
-		return fmt.Errorf("shard: unknown partition mode %q", p.Mode)
-	}
-	for i := 1; i < len(p.Splits); i++ {
-		if p.Splits[i] <= p.Splits[i-1] {
-			return fmt.Errorf("shard: range splits must be strictly increasing")
-		}
+	if err := p.check(rel.Arity(), c.n); err != nil {
+		return err
 	}
 	vars, _ := c.whole().Vars(name)
 	tuples := rel.Tuples()
@@ -407,7 +374,6 @@ func (c *Catalog) ForcePartition(name string, p Partition) error {
 	} else {
 		c.parts[name] = p
 	}
-	c.version++
 	if merr := c.writeManifest(); err == nil {
 		err = merr
 	}
@@ -431,7 +397,6 @@ func (c *Catalog) Drop(name string) error {
 		return err
 	}
 	delete(c.parts, name)
-	c.version++
 	return c.writeManifest()
 }
 
@@ -458,8 +423,8 @@ func (c *Catalog) Load(r io.Reader, source string) (catalog.Info, error) {
 	})
 }
 
-// Get returns the whole relation: queries parse and plan against whole
-// relations; fragments surface only through scatter.
+// Get returns the whole relation: queries parse, plan and run against
+// whole relations.
 func (c *Catalog) Get(name string) (*minesweeper.Relation, bool) { return c.whole().Get(name) }
 
 // Fragment returns the relation's fragment on one shard.
@@ -539,20 +504,12 @@ func (c *Catalog) StorageStats() storage.Stats {
 	return agg
 }
 
-// ShardStats describes every shard for /stats: per-shard data volume,
-// scatter activity (the hot-shard signal), substream panics and
-// per-replica storage health.
+// ShardStats describes every shard for /stats: per-shard data volume
+// and per-replica storage health.
 func (c *Catalog) ShardStats() []ShardStat {
 	out := make([]ShardStat, c.n)
 	for i, cc := range c.shards {
-		st := ShardStat{
-			Shard:    i,
-			Runs:     c.counters[i].runs.Load(),
-			Inflight: c.counters[i].inflight.Load(),
-			Queued:   c.counters[i].queued.Load(),
-			Emitted:  c.counters[i].emitted.Load(),
-			Panics:   c.counters[i].panics.Load(),
-		}
+		st := ShardStat{Shard: i}
 		for _, info := range cc.Relations() {
 			st.Relations++
 			st.Tuples += info.Tuples

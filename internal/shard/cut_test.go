@@ -33,20 +33,29 @@ func (s cutStep) apply(m mutator) error {
 
 // cutSteps inserts and then deletes batches of both relations of
 // pinRels. Each batch reaches every shard — E's b values span the range
-// partition of its seed rows, F's new c values are hash-routed (see
-// TestRunReadsOneCut) — and each joins with the other relation's seed
-// rows.
+// partition of its seed rows, F's new c values span cutSplits — and
+// each joins with the other relation's seed rows.
 func cutSteps() []cutStep {
 	var steps []cutStep
 	for k := 0; k < 12; k++ {
 		var e, f [][]int
 		for i := 0; i < 16; i++ {
 			e = append(e, []int{1000 + 16*k + i, (7 * i) % 50})
-			f = append(f, []int{(7*i + k) % 50, 100 + 16*k + i})
+			f = append(f, []int{(7*i + k) % 50, 100 + 50*i + k})
 		}
 		steps = append(steps, cutStep{true, "E", e}, cutStep{true, "F", f}, cutStep{false, "E", e}, cutStep{false, "F", f})
 	}
 	return steps
+}
+
+// cutSplits range-partitions F's c column over n shards so that every
+// F batch of cutSteps reaches every shard.
+func cutSplits(n int) []int {
+	var splits []int
+	for i := 1; i < n; i++ {
+		splits = append(splits, 100+i*800/n)
+	}
+	return splits
 }
 
 // TestRunReadsOneCut: runs of one prepared query race insert and delete
@@ -56,7 +65,7 @@ func cutSteps() []cutStep {
 // another's before it, nor a fragment beside a stale gathered copy.
 func TestRunReadsOneCut(t *testing.T) {
 	// One order for every state, led by F's partition column so the
-	// plan scatters.
+	// run is sliced at F's splits.
 	opts := &minesweeper.Options{GAO: []string{"C", "B", "A"}}
 	steps := cutSteps()
 
@@ -96,23 +105,29 @@ func TestRunReadsOneCut(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := c.ForcePartition("F", Partition{Column: 1, Attr: "c", Mode: ModeHash}); err != nil {
+			if err := c.ForcePartition("F", Partition{Column: 1, Attr: "c", Mode: ModeRange, Splits: cutSplits(shards)}); err != nil {
 				t.Fatal(err)
 			}
 			q, err := c.Query(pinExpr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := c.Prepare(q, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parts := p.Explain().Partitions; shards > 1 && (len(parts) != 1 || parts[0] == "gathered") {
-				t.Fatalf("%d shards: plan did not scatter: %v", shards, parts)
+			// One run in-order on the calling goroutine, one spread over
+			// morsel workers: both cut at F's splits.
+			var ps [2]*Prepared
+			for g := range ps {
+				o := *opts
+				o.Workers = g + 1
+				if ps[g], err = c.Prepare(q, &o); err != nil {
+					t.Fatal(err)
+				}
+				if parts := ps[g].Explain().Partitions; shards > 1 && (len(parts) != 1 || parts[0] != fmt.Sprintf("F=c:range/%d", shards)) {
+					t.Fatalf("%d shards: plan is not sliced: %v", shards, parts)
+				}
 			}
 			done := make(chan struct{})
 			errc := make(chan error, 2)
-			for g := 0; g < 2; g++ {
+			for _, p := range ps {
 				go func() {
 					for runs := 0; ; runs++ {
 						select {

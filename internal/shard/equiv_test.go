@@ -14,7 +14,7 @@ import (
 	"minesweeper/internal/dataset"
 )
 
-// The scatter-gather acceptance suite: sharded execution must be
+// The sharding acceptance suite: sharded execution must be
 // indistinguishable from unsharded execution — byte-for-byte identical
 // NDJSON streams — across shard counts, routing modes, engines and query
 // shapes, including after mutations retarget a prepared plan.
@@ -37,7 +37,7 @@ type relSpec struct {
 // fixture is one dataset + a set of query shapes over it. The queries
 // deliberately walk the shape grammar: bare joins, projections, range
 // filters, grouped aggregates and distinct counts all ride the same
-// scatter-gather path (shaping happens once, on the gathered stream).
+// sliced path (shaping happens once, on the run's ordered stream).
 type fixture struct {
 	name    string
 	rels    []relSpec
@@ -191,8 +191,10 @@ func TestScatterGatherEquivalence(t *testing.T) {
 }
 
 // TestRoutingModeEquivalence forces both routing modes onto the
-// scattered relation — including splits the statistics would never pick
-// — and demands the identical stream from every shard count.
+// relation leading the GAO — including splits the statistics would
+// never pick — and demands the identical stream from every shard
+// count: a range partition slices the run, a hash partition runs it
+// gathered.
 func TestRoutingModeEquivalence(t *testing.T) {
 	e12e, e12f := dataset.SparseSkewJoin(300, 16, 97)
 	rels := []relSpec{
@@ -200,8 +202,8 @@ func TestRoutingModeEquivalence(t *testing.T) {
 		{"F", []string{"b", "c"}, e12f},
 	}
 	const expr = "E(A,B), F(B,C)"
-	// Pin the GAO so the scatter choice is deterministic: E's column 0
-	// carries gao[0], so a forced partition there always scatters.
+	// Pin the GAO so the slicing choice is deterministic: E's column 0
+	// carries gao[0], so a forced range partition there always slices.
 	opts := &minesweeper.Options{GAO: []string{"A", "B", "C"}}
 	for _, n := range []int{2, 4, 8} {
 		for _, mode := range []string{ModeHash, ModeRange} {
@@ -226,8 +228,12 @@ func TestRoutingModeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ex := pq.Explain(); len(ex.Partitions) != 1 || ex.Partitions[0] == "gathered" {
-				t.Fatalf("shards=%d mode=%s: plan did not scatter: %v", n, mode, ex.Partitions)
+			want := "gathered"
+			if mode == ModeRange {
+				want = fmt.Sprintf("E=a:range/%d", n)
+			}
+			if ex := pq.Explain(); len(ex.Partitions) != 1 || ex.Partitions[0] != want {
+				t.Fatalf("shards=%d mode=%s: Explain.Partitions = %v, want [%s]", n, mode, ex.Partitions, want)
 			}
 			res, err := pq.Execute()
 			if err != nil {
@@ -247,8 +253,8 @@ func TestRoutingModeEquivalence(t *testing.T) {
 // TestPreparedAfterMutation drives one prepared query through the full
 // mutation alphabet — insert, delete, replace, forced repartition, load
 // — re-executing after each step against a fresh unsharded reference.
-// This is the Refresh path: epoch bumps rebuild per-shard plans, and
-// partition-version bumps rebuild the scatter choice itself.
+// This is the Refresh path: epoch bumps re-plan the query, and a
+// repartition changes the slicing decision of the next run.
 func TestPreparedAfterMutation(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		var rT, sT [][]int
@@ -382,9 +388,10 @@ func TestLimitAndCancellation(t *testing.T) {
 	}
 }
 
-// TestScatterSplitsWorkers: a workers=W run over N scattered shards
-// gives each substream ⌈W/N⌉ morsel workers, so it starts at most W + N
-// engine goroutines (N substreams plus their morsel workers), not N·W.
+// TestScatterSplitsWorkers: a workers=W run over a range partition
+// starts at most W engine goroutines at any shard count — the split
+// points cut the one run's morsels, they do not start runs of their own
+// — and at W = 1 it starts none.
 func TestScatterSplitsWorkers(t *testing.T) {
 	var rT, sT [][]int
 	for b := 0; b < 3000; b++ {
@@ -393,12 +400,16 @@ func TestScatterSplitsWorkers(t *testing.T) {
 			sT = append(sT, []int{b, (b*6151 + i*7907) % 100019})
 		}
 	}
-	for _, sc := range []struct{ w, n int }{{4, 4}, {4, 2}} {
+	for _, sc := range []struct{ w, n int }{{4, 8}, {4, 4}, {4, 2}, {2, 8}, {1, 4}} {
 		c := buildSharded(t, sc.n, []relSpec{
 			{"R", []string{"a", "b"}, rT},
 			{"S", []string{"b", "c"}, sT},
 		})
-		if err := c.ForcePartition("S", Partition{Column: 0, Attr: "b", Mode: ModeHash}); err != nil {
+		p := Partition{Column: 0, Attr: "b", Mode: ModeRange}
+		for i := 1; i < sc.n; i++ {
+			p.Splits = append(p.Splits, i*3000/sc.n)
+		}
+		if err := c.ForcePartition("S", p); err != nil {
 			t.Fatal(err)
 		}
 		q, err := c.Query("R(A,B), S(B,C)")
@@ -409,8 +420,8 @@ func TestScatterSplitsWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ex := pq.Explain(); len(ex.Partitions) != 1 || ex.Partitions[0] == "gathered" {
-			t.Fatalf("plan did not scatter: %v", ex.Partitions)
+		if ex := pq.Explain(); len(ex.Partitions) != 1 || !strings.HasSuffix(ex.Partitions[0], fmt.Sprintf("=b:range/%d", sc.n)) {
+			t.Fatalf("plan is not sliced: %v", ex.Partitions)
 		}
 		// Sample the goroutine count for the whole run; the sampler is
 		// one goroutine of its own.
@@ -435,15 +446,21 @@ func TestScatterSplitsWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if started > sc.w+sc.n {
-			t.Fatalf("workers=%d over %d shards started %d goroutines, want ≤ %d", sc.w, sc.n, started, sc.w+sc.n)
+		want := sc.w
+		if sc.w == 1 {
+			want = 0 // in-order morsels on the calling goroutine
+		}
+		if started > want {
+			t.Fatalf("workers=%d over %d shards started %d goroutines, want ≤ %d", sc.w, sc.n, started, want)
 		}
 	}
 }
 
-// TestExplainPartitionsAndStats: the plan annotation names the scattered
-// relation and routing mode, gathered fallbacks say so, and the
-// per-shard counters in ShardStats record the fan-out.
+// TestExplainPartitionsAndStats: a range partition on the leading GAO
+// attribute slices the run and the plan says "rel=attr:range/N"; a hash
+// partition, a frequency-permuted domain and a materializing engine
+// read the relations unsliced and say "gathered". Every one streams the
+// unsharded bytes, and ShardStats reports each shard's data volume.
 func TestExplainPartitionsAndStats(t *testing.T) {
 	var rT, sT [][]int
 	for i := 0; i < 160; i++ {
@@ -454,63 +471,56 @@ func TestExplainPartitionsAndStats(t *testing.T) {
 		{"R", []string{"a", "b"}, rT},
 		{"S", []string{"b", "c"}, sT},
 	})
-	if err := c.ForcePartition("R", Partition{Column: 0, Attr: "a", Mode: ModeHash}); err != nil {
-		t.Fatal(err)
-	}
-	q, err := c.Query("R(A,B), S(B,C)")
-	if err != nil {
-		t.Fatal(err)
-	}
+	const expr = "R(A,B), S(B,C)"
 	gao := []string{"A", "B", "C"}
-	pq, err := c.Prepare(q, &minesweeper.Options{GAO: gao})
-	if err != nil {
-		t.Fatal(err)
+	check := func(part Partition, opts *minesweeper.Options, want string) {
+		t.Helper()
+		if err := c.ForcePartition("R", part); err != nil {
+			t.Fatal(err)
+		}
+		q, err := c.Query(expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pq, err := c.Prepare(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex := pq.Explain(); len(ex.Partitions) != 1 || ex.Partitions[0] != want {
+			t.Fatalf("%s %+v: Explain.Partitions = %v, want [%s]", part.Mode, *opts, ex.Partitions, want)
+		}
+		var seen []string
+		res := &minesweeper.Result{Vars: pq.OutputVars()}
+		if _, err := pq.StreamContextExplained(context.Background(), func(ex minesweeper.Explain) { seen = ex.Partitions }, func(tu []int) bool {
+			res.Tuples = append(res.Tuples, tu)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 1 || seen[0] != want {
+			t.Fatalf("%s %+v: the run reported Partitions %v, want [%s]", part.Mode, *opts, seen, want)
+		}
+		ref := reference(t, c, expr, opts)
+		if ndjson(t, res.Vars, res.Tuples) != ndjson(t, ref.Vars, ref.Tuples) {
+			t.Fatalf("%s %+v: stream diverges from the unsharded one", part.Mode, *opts)
+		}
 	}
-	ex := pq.Explain()
-	if len(ex.Partitions) != 1 || !strings.Contains(ex.Partitions[0], "=") {
-		t.Fatalf("Explain.Partitions = %v, want one rel=attr:mode entry", ex.Partitions)
-	}
-	if !strings.HasSuffix(ex.Partitions[0], "/4") {
-		t.Fatalf("Partitions entry %q does not carry the shard count", ex.Partitions[0])
-	}
-	if _, err := pq.Execute(); err != nil {
-		t.Fatal(err)
-	}
+	byRange := Partition{Column: 0, Attr: "a", Mode: ModeRange, Splits: []int{40, 80, 120}}
+	check(byRange, &minesweeper.Options{GAO: gao}, "R=a:range/4")
+	check(byRange, &minesweeper.Options{GAO: gao, Workers: 3}, "R=a:range/4")
+	check(byRange, &minesweeper.Options{GAO: gao, Domain: minesweeper.DomainFreq}, "gathered")
+	check(byRange, &minesweeper.Options{GAO: gao, Engine: minesweeper.EngineHashPlan}, "gathered")
+	check(Partition{Column: 0, Attr: "a", Mode: ModeHash}, &minesweeper.Options{GAO: gao}, "gathered")
+
 	stats := c.ShardStats()
 	if len(stats) != 4 {
 		t.Fatalf("ShardStats returned %d entries, want 4", len(stats))
 	}
-	runs, emitted := int64(0), int64(0)
+	tuples := 0
 	for _, st := range stats {
-		runs += st.Runs
-		emitted += st.Emitted
-		if st.Inflight != 0 {
-			t.Fatalf("shard %d still reports %d inflight after the run", st.Shard, st.Inflight)
-		}
+		tuples += st.Tuples
 	}
-	if runs != 4 {
-		t.Fatalf("per-shard runs sum to %d, want 4 (one per shard)", runs)
-	}
-	if emitted == 0 {
-		t.Fatal("no shard reported emitted tuples")
-	}
-
-	// A frequency-permuted domain cannot merge sub-streams in raw value
-	// order: the plan must fall back to gathered execution and say so.
-	pqf, err := c.Prepare(q, &minesweeper.Options{GAO: gao, Domain: minesweeper.DomainFreq})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exf := pqf.Explain()
-	if len(exf.Partitions) != 1 || exf.Partitions[0] != "gathered" {
-		t.Fatalf("freq-domain Partitions = %v, want [gathered]", exf.Partitions)
-	}
-	ref := reference(t, c, "R(A,B), S(B,C)", &minesweeper.Options{GAO: gao, Domain: minesweeper.DomainFreq})
-	res, err := pqf.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ndjson(t, res.Vars, res.Tuples) != ndjson(t, ref.Vars, ref.Tuples) {
-		t.Fatal("gathered fallback diverges from unsharded stream")
+	if tuples != len(rT)+len(sT) {
+		t.Fatalf("per-shard tuples sum to %d, want %d (every row in one fragment)", tuples, len(rT)+len(sT))
 	}
 }

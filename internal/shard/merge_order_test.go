@@ -4,106 +4,19 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 
 	minesweeper "minesweeper"
 )
 
-// Property tests for the merge layer: the loser tree must behave as a
-// stable k-way merge (ties break to the lower shard index), and the
-// gathered stream must equal the unsharded GAO-lex stream byte-for-byte
-// at every prefix, for arbitrary data and shard counts.
-
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-// TestLoserTreeMergeProperty drives the tree directly over random
-// sorted substreams — including empty streams, heavy duplication across
-// streams, and k=1 — and checks the merge against a stable sort of the
-// concatenation (which is exactly "sorted, ties by stream index").
-func TestLoserTreeMergeProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		k := 1 + rng.Intn(9)
-		width := 1 + rng.Intn(3)
-		streams := make([][][]int, k)
-		type tagged struct {
-			tup []int
-			src int
-		}
-		var all []tagged
-		for s := 0; s < k; s++ {
-			n := rng.Intn(30) // 0 is a legal (empty) substream
-			for i := 0; i < n; i++ {
-				tup := make([]int, width)
-				for j := range tup {
-					tup[j] = rng.Intn(8) // small domain forces ties
-				}
-				streams[s] = append(streams[s], tup)
-			}
-			sort.Slice(streams[s], func(i, j int) bool { return lexLess(streams[s][i], streams[s][j]) })
-			for _, tup := range streams[s] {
-				all = append(all, tagged{tup, s})
-			}
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			if lexLess(all[i].tup, all[j].tup) {
-				return true
-			}
-			if lexLess(all[j].tup, all[i].tup) {
-				return false
-			}
-			return all[i].src < all[j].src
-		})
-
-		pos := make([]int, k)
-		next := func(s int) []int {
-			if pos[s] >= len(streams[s]) {
-				return nil
-			}
-			tup := streams[s][pos[s]]
-			pos[s]++
-			return tup
-		}
-		heads := make([][]int, k)
-		for s := range heads {
-			heads[s] = next(s)
-		}
-		lt := newLoserTree(heads)
-		var got [][]int
-		for {
-			tup := lt.pop(next)
-			if tup == nil {
-				break
-			}
-			got = append(got, tup)
-		}
-		if len(got) != len(all) {
-			t.Fatalf("trial %d: merged %d tuples, want %d", trial, len(got), len(all))
-		}
-		for i := range all {
-			if !reflect.DeepEqual(got[i], all[i].tup) {
-				t.Fatalf("trial %d: position %d: got %v, want %v (stable-merge order violated)",
-					trial, i, got[i], all[i].tup)
-			}
-		}
-		if extra := lt.pop(next); extra != nil {
-			t.Fatalf("trial %d: pop after exhaustion returned %v", trial, extra)
-		}
-	}
-}
+// Property test for the sharded stream: it must equal the unsharded
+// GAO-lex stream byte-for-byte at every prefix, for arbitrary data and
+// shard counts.
 
 // TestMergeOrderProperty is the end-to-end property: for random
 // two-atom joins, random shard counts and every engine, the sharded
 // stream equals the unsharded stream at every randomly chosen prefix —
-// so GAO-lex emission order survives scatter-gather exactly.
+// so GAO-lex emission order survives sharding exactly.
 func TestMergeOrderProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const expr = "R(A,B), S(B,C)"

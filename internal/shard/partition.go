@@ -1,21 +1,21 @@
 // Package shard splits data ownership from probe execution: it
-// partitions catalog relations into N goroutine-owned fragments — each
-// with its own index caches, mutation epoch and WAL directory — and
-// runs scatter-gather streaming joins across them, merging the
-// per-shard GAO-lex-ordered substreams with a loser tree so the fused
-// stream is byte-identical to an unsharded run.
+// partitions catalog relations into N fragments — each with its own
+// mutation epoch and WAL directory, logged to R replicas — and keeps
+// every relation whole for reads. A query runs once, over the whole
+// relations, exactly as unsharded; a range partition on the leading GAO
+// attribute only hands its split points to the run as morsel boundaries
+// (engine.Parallel), so each shard's range is evaluated by morsels of
+// its own over the one index, with no per-shard query or merge.
 //
-// The partitioning invariant the executor relies on is purely
-// content-based: every stored copy of a tuple lives in exactly the
-// shard its partition-column value routes to, so identical rows always
-// colocate. Under that invariant, slicing a single atom of a query
-// across the fragments enumerates every result assignment exactly once
-// (its witnessing row in the sliced atom lives in exactly one
-// fragment), and the merged union of per-shard streams is exactly the
-// unsharded stream.
+// The partitioning invariant is purely content-based: every stored
+// copy of a tuple lives in exactly the shard its partition-column value
+// routes to, so identical rows always colocate, recovery rebuilds a
+// whole relation as the union of its fragments, and a range
+// partition's shards are exactly the value ranges its splits cut.
 package shard
 
 import (
+	"fmt"
 	"sort"
 	"strconv"
 
@@ -31,6 +31,30 @@ type Partition struct {
 	Attr   string `json:"attr,omitempty"`
 	Mode   string `json:"mode"` // "hash" or "range"
 	Splits []int  `json:"splits,omitempty"`
+}
+
+// check reports whether p can route the tuples of an arity-column
+// relation over shards shards: the column in range, a known mode, and
+// at most shards-1 strictly increasing splits. Routing indexes tuples
+// by the column and buckets by the split count, and the splits are
+// morsel boundaries of sliced runs, so every partition that enters the
+// catalog — forced, or read back from a manifest — passes this first.
+func (p Partition) check(arity, shards int) error {
+	if p.Column < 0 || p.Column >= arity {
+		return fmt.Errorf("shard: partition column %d out of range for arity %d", p.Column, arity)
+	}
+	if p.Mode != ModeHash && p.Mode != ModeRange {
+		return fmt.Errorf("shard: unknown partition mode %q", p.Mode)
+	}
+	if len(p.Splits) > shards-1 {
+		return fmt.Errorf("shard: %d splits for %d shards, want at most %d", len(p.Splits), shards, shards-1)
+	}
+	for i := 1; i < len(p.Splits); i++ {
+		if p.Splits[i] <= p.Splits[i-1] {
+			return fmt.Errorf("shard: range splits must be strictly increasing")
+		}
+	}
+	return nil
 }
 
 // Route returns the shard index owning a tuple whose partition column

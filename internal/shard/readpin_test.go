@@ -4,23 +4,22 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	minesweeper "minesweeper"
 	"minesweeper/internal/storage"
 )
 
-// Read-contract coverage: a scattered run streams the fragments its
-// plan pinned. A replica whose storage dies mid-run changes nothing the
-// run reads, so the stream finishes byte-identical to the unsharded
+// Read-contract coverage: a sharded run streams the plan state it
+// pinned. A replica whose storage dies mid-run changes nothing the run
+// reads, so the stream finishes byte-identical to the unsharded
 // reference; the death is picked up by DownReplicas and by the next
-// mutation that reaches the shard. A panicking substream ends the run
-// with an error after a correct prefix; nothing is retried.
+// mutation that reaches the shard.
 
-// pinRels is a dense equi-join (~500 output tuples, spread over every
-// shard) so each shard's substream is still running when the consumer
-// poisons a replica.
+// pinRels is a dense equi-join (~500 output tuples) whose relations the
+// catalog range-partitions (E on b, F on c), so under the planner's
+// GAO (C, B, A) every shard's range of F is a morsel of the run still
+// going when the consumer poisons a replica.
 func pinRels() []relSpec {
 	rT, sT := seedTuples(160)
 	return []relSpec{
@@ -65,7 +64,10 @@ func pinFixture(t *testing.T, n, r int) (*Catalog, [][]*storage.Faulty) {
 	return c, faulty
 }
 
-func prepareScattered(t *testing.T, c *Catalog, opts *minesweeper.Options) *Prepared {
+// prepareSliced prepares pinExpr and checks the slicing rule: under the
+// planner's GAO (C, B, A) F's range partition on c slices an IndexOnly
+// engine's run, and a materializing engine's run is gathered.
+func prepareSliced(t *testing.T, c *Catalog, opts *minesweeper.Options) *Prepared {
 	t.Helper()
 	q, err := c.Query(pinExpr)
 	if err != nil {
@@ -75,8 +77,14 @@ func prepareScattered(t *testing.T, c *Catalog, opts *minesweeper.Options) *Prep
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex := pq.Explain(); len(ex.Partitions) != 1 || ex.Partitions[0] == "gathered" {
-		t.Fatalf("plan did not scatter: %v", ex.Partitions)
+	want := fmt.Sprintf("F=c:range/%d", c.Shards())
+	switch pq.Engine() {
+	case minesweeper.EngineMinesweeper, minesweeper.EngineLeapfrog:
+	default:
+		want = "gathered"
+	}
+	if ex := pq.Explain(); len(ex.Partitions) != 1 || ex.Partitions[0] != want {
+		t.Fatalf("engine %v: Explain.Partitions = %v, want [%s]", pq.Engine(), ex.Partitions, want)
 	}
 	return pq
 }
@@ -95,7 +103,7 @@ func checkPoisonedRunFinishes(t *testing.T, r int) {
 				c, faulty := pinFixture(t, n, r)
 				opts := &minesweeper.Options{Engine: eng}
 				ref := reference(t, c, pinExpr, opts)
-				pq := prepareScattered(t, c, opts)
+				pq := prepareSliced(t, c, opts)
 				victim := c.Primary(0)
 				var got [][]int
 				_, err := pq.StreamContextExplained(context.Background(), nil, func(tu []int) bool {
@@ -141,44 +149,7 @@ func TestPoisonedReplicaRunFinishes(t *testing.T) { checkPoisonedRunFinishes(t, 
 // is no sibling at all, and the run still finishes on what it pinned.
 func TestPoisonedOnlyReplicaRunFinishes(t *testing.T) { checkPoisonedRunFinishes(t, 1) }
 
-// TestSubstreamPanicIsolation: a panic inside one substream goroutine
-// is recovered at the substream boundary and counted; the run ends with
-// an error, the result keeps the proper prefix merged so far, and no
-// replica is marked down (its storage is fine).
-func TestSubstreamPanicIsolation(t *testing.T) {
-	c, _ := pinFixture(t, 4, 2)
-	ref := reference(t, c, pinExpr, nil)
-	pq := prepareScattered(t, c, nil)
-	var seen atomic.Int64
-	pq.emitHook = func(s int) {
-		if s == 1 && seen.Add(1) == 4 {
-			panic("injected substream panic")
-		}
-	}
-	res, err := pq.Execute()
-	if err == nil || !strings.Contains(err.Error(), "injected substream panic") {
-		t.Fatalf("execute across panic: err = %v, want the panic", err)
-	}
-	if res == nil || res.Engine != pq.Engine() {
-		t.Fatalf("partial result = %+v, want the prefix with engine %v", res, pq.Engine())
-	}
-	if len(res.Tuples) >= len(ref.Tuples) ||
-		ndjson(t, res.Vars, res.Tuples) != ndjson(t, ref.Vars, ref.Tuples[:len(res.Tuples)]) {
-		t.Fatalf("%d tuples are not a proper prefix of the %d-tuple reference", len(res.Tuples), len(ref.Tuples))
-	}
-	var panics int64
-	for _, st := range c.ShardStats() {
-		panics += st.Panics
-	}
-	if panics != 1 {
-		t.Fatalf("panics = %d, want 1", panics)
-	}
-	if got := c.DownReplicas(); len(got) != 0 {
-		t.Fatalf("panic marked replicas down: %+v (storage was healthy)", got)
-	}
-}
-
-// TestExecuteResultLikeUnsharded: a scattered Execute fills the Result
+// TestExecuteResultLikeUnsharded: a sliced Execute fills the Result
 // the way the unsharded prepared query does — the resolved engine and
 // the emitted GAO included.
 func TestExecuteResultLikeUnsharded(t *testing.T) {
@@ -195,7 +166,7 @@ func TestExecuteResultLikeUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := prepareScattered(t, c, nil).Execute()
+	res, err := prepareSliced(t, c, nil).Execute()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +174,6 @@ func TestExecuteResultLikeUnsharded(t *testing.T) {
 		t.Fatalf("engine/GAO = %v/%v, unsharded %v/%v", res.Engine, res.GAO, ref.Engine, ref.GAO)
 	}
 	if ndjson(t, res.Vars, res.Tuples) != ndjson(t, ref.Vars, ref.Tuples) {
-		t.Fatal("scattered Execute diverges from unsharded")
+		t.Fatal("sliced Execute diverges from unsharded")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // manifest is authoritative for how stored tuples were physically
 // routed: re-deriving a partition from statistics after recovery could
 // disagree with the placement the fragments actually hold, which would
-// silently break the colocation invariant the scatter executor needs.
+// silently break the colocation invariant recovery and sliced runs need.
 const manifestName = "shards.json"
 
 // manifest is the durable routing state: the shard count the directory
@@ -192,7 +192,7 @@ func (c *Catalog) recover(m *manifest) error {
 			// One shard: a gather of one fragment is that fragment, so
 			// nothing is copied, and one bucket holds every row colocated
 			// under any partition, so nothing is redistributed either.
-			if vars, _ := c.shards[0].Vars(name); !routed || p.Column >= len(vars) {
+			if vars, _ := c.shards[0].Vars(name); !routed || p.check(len(vars), c.n) != nil {
 				p = choosePartition(vars, nil, c.n)
 			}
 			c.parts[name] = p
@@ -206,7 +206,7 @@ func (c *Catalog) recover(m *manifest) error {
 		if err := rel.RestoreEpoch(epochSum); err != nil {
 			return fmt.Errorf("shard: gathering relation %q: %w", name, err)
 		}
-		if !routed || p.Column >= len(vars) {
+		if !routed || p.check(len(vars), c.n) != nil {
 			// No (usable) manifest entry: repartition deterministically and
 			// redistribute the gathered tuples so the colocation invariant
 			// holds again.

@@ -582,11 +582,12 @@ type Explain struct {
 	// bounds mirror raw value order, under "freq" they follow the
 	// permuted domain.
 	DictOrders []string `json:"dict_orders,omitempty"`
-	// Partitions describes sharded execution, set only by the
-	// scatter-gather layer (internal/shard): "attr:hash" or "attr:range"
-	// per sharded relation named as "rel=attr:mode", or a single
-	// "gathered" entry when the plan could not scatter and ran over the
-	// gathered whole. Empty for unsharded execution.
+	// Partitions describes sharded execution, set only by the shard
+	// layer (internal/shard): "rel=attr:range/N" when a range-partitioned
+	// relation's split points on the leading GAO attribute cut the run's
+	// morsels, or a single "gathered" entry when the run read the whole
+	// relations unsliced (a hash partition, a frequency-permuted domain
+	// or a materializing engine). Empty for unsharded execution.
 	Partitions []string `json:"partitions,omitempty"`
 	// Engine is the resolved engine.
 	Engine Engine `json:"-"`
@@ -765,8 +766,10 @@ type pinnedRun struct {
 
 // pin pins one plan state and assembles its raw run function — the
 // resolved engine, spread over Options.Workers range morsels when it is
-// IndexOnly, and the dictionary decode wrapper.
-func (pq *PreparedQuery) pin() (pinnedRun, error) {
+// IndexOnly, and the dictionary decode wrapper. splits, when non-empty,
+// are raw values of the leading GAO attribute the run's morsels must
+// cut at (see Pin).
+func (pq *PreparedQuery) pin(splits []int) (pinnedRun, error) {
 	pq.mu.Lock()
 	empty := pq.cur.shape != nil && pq.cur.shape.Empty
 	pq.mu.Unlock()
@@ -778,6 +781,21 @@ func (pq *PreparedQuery) pin() (pinnedRun, error) {
 	problem, st, err := pq.snapshot()
 	if err != nil {
 		return pinnedRun{}, err
+	}
+	if len(splits) > 0 {
+		pos := len(st.ext) - len(st.gao)
+		problem.SplitPos, problem.Splits = pos, splits
+		if st.dicts != nil && st.dicts.ByPos[pos] != nil {
+			// A split s starts at the first code whose value is ≥ s; a
+			// permuted code space has no such image, so it is not cut.
+			d := st.dicts.ByPos[pos]
+			problem.Splits = nil
+			for _, s := range splits {
+				if d.OrderPreserving() {
+					problem.Splits = append(problem.Splits, d.LoCode(s))
+				}
+			}
+		}
 	}
 	rawRun := engine.Parallel(pq.runner, pq.opts.Workers)
 	if st.dicts.Any() {
@@ -793,10 +811,10 @@ func (pq *PreparedQuery) pin() (pinnedRun, error) {
 	return pinnedRun{raw: rawRun, problem: problem, st: st}, nil
 }
 
-// run executes a pinned state, shaped or raw. Everything the run
-// reports — the plan callback, the stats plan fields — comes from that
-// single state, never from a racy re-read of pq.cur.
-func (pq *PreparedQuery) run(ctx context.Context, p pinnedRun, raw bool, plan func(Explain), yield func([]int) bool) (Stats, error) {
+// run executes a pinned state through the shaping adapter. Everything
+// the run reports — the plan callback, the stats plan fields — comes
+// from that single state, never from a racy re-read of pq.cur.
+func (pq *PreparedQuery) run(ctx context.Context, p pinnedRun, plan func(Explain), yield func([]int) bool) (Stats, error) {
 	var stats Stats
 	if p.st == nil {
 		if plan != nil {
@@ -807,12 +825,7 @@ func (pq *PreparedQuery) run(ctx context.Context, p pinnedRun, raw bool, plan fu
 	if plan != nil {
 		plan(pq.explainState(p.st))
 	}
-	var err error
-	if raw {
-		err = p.raw(ctx, p.problem, &stats, yield)
-	} else {
-		err = engine.RunShaped(ctx, p.raw, p.problem, p.st.shape, &stats, yield)
-	}
+	err := engine.RunShaped(ctx, p.raw, p.problem, p.st.shape, &stats, yield)
 	stats.PlanWidth, stats.PlanCost = p.st.width, p.st.cost
 	return stats, err
 }
@@ -821,57 +834,35 @@ func (pq *PreparedQuery) run(ctx context.Context, p pinnedRun, raw bool, plan fu
 // returning the state alongside the run's stats (nil for the
 // provably-empty no-work path).
 func (pq *PreparedQuery) streamPinned(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, *prepState, error) {
-	p, err := pq.pin()
+	p, err := pq.pin(nil)
 	if err != nil {
 		return Stats{}, nil, err
 	}
-	stats, err := pq.run(ctx, p, false, plan, yield)
+	stats, err := pq.run(ctx, p, plan, yield)
 	return stats, p.st, err
 }
 
 // Pin pins the plan state one run executes under — re-planning first
 // if a bound relation was mutated — and returns that run, to be called
-// once. Pinning is split from running so that a caller can pin several
-// prepared queries under one lock of its own, held by its mutations
-// too: their runs then read one mutation-consistent cut of the data
-// however long they take, and run concurrently outside the lock.
+// once; it streams exactly as StreamContextExplained. Pinning is split
+// from running so that a caller can pin under a lock of its own, held
+// by its mutations too: the run then reads one mutation-consistent cut
+// of the data however long it takes, outside the lock.
 //
-// A raw run yields RAW evaluation tuples: full extended-GAO-order rows
-// (hidden constant positions first, then the GAO variables),
-// dictionary-decoded, with range bounds already pushed down — but with
-// no projection, dedup or aggregation applied. Tuples arrive in
-// extended-GAO-lexicographic order and are fresh slices the callback
-// may retain; yield returning false stops the run with a nil error.
-// This is the scatter half of sharded execution: internal/shard runs
-// one raw stream per fragment shard, merges them (the raw order is
-// total and shard-disjoint on the partition attribute), and applies
-// the query's shape exactly once on the gathered stream — which is what
-// makes sharded output byte-identical to unsharded. A shaped run is
-// StreamContextExplained's. Either way the plan callback, when
-// non-nil, is invoked with the run's pinned plan before the first
-// yield.
-func (pq *PreparedQuery) Pin(raw bool) (func(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, error), error) {
-	p, err := pq.pin()
+// splits, when non-empty, are ascending raw values of the leading GAO
+// attribute — a range partition's split points — and every one becomes
+// a range-morsel boundary of the run (mapped into code space when the
+// attribute is rank-encoded). They change how an IndexOnly engine's
+// work is cut, never the stream: internal/shard passes them so a range-
+// partitioned relation is evaluated range by range over the one index.
+func (pq *PreparedQuery) Pin(splits []int) (func(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, error), error) {
+	p, err := pq.pin(splits)
 	if err != nil {
 		return nil, err
 	}
 	return func(ctx context.Context, plan func(Explain), yield func([]int) bool) (Stats, error) {
-		return pq.run(ctx, p, raw, plan, yield)
+		return pq.run(ctx, p, plan, yield)
 	}, nil
-}
-
-// ShapePlan resolves the query's shaping under the given evaluation
-// order and options: the output column names and the engine-level shape
-// (nil when the run is a pass-through), exactly as a prepared execution
-// would apply them. The shape's column indexes refer to positions of
-// the extended evaluation order (hidden constants first, then gao).
-// The gather half of sharded execution uses this to apply projection,
-// dedup, bounds and aggregation once over the merged raw stream.
-func (q *Query) ShapePlan(gao []string, opts *Options) (outVars []string, sh *engine.Shape, err error) {
-	if opts == nil {
-		opts = &Options{}
-	}
-	return q.buildShape(gao, opts)
 }
 
 // Execute evaluates the prepared query and returns the full result.
