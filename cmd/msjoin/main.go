@@ -55,7 +55,7 @@ func main() {
 	selectFlag := flag.String("select", "", "projection/aggregate list, e.g. 'A, count(*), sum(B)'")
 	whereFlag := flag.String("where", "", "range filters, e.g. 'A < 10 and B >= 3'")
 	domainFlag := flag.String("domain", "natural", "dictionary domain ordering: natural (order-preserving rank codes) or freq (frequency-permuted codes on skewed attributes)")
-	explainFlag := flag.Bool("explain", false, "print the chosen plan (GAO, width, estimated cost, dictionary attributes and their domain orders) without evaluating")
+	explainFlag := flag.Bool("explain", false, "print the chosen plan (GAO, width, estimated cost, suffix cut, dictionary attributes and their domain orders) without evaluating")
 	flag.Parse()
 
 	if flag.NArg() == 0 {
@@ -173,14 +173,16 @@ func main() {
 
 // formatExplain renders the -explain line: the chosen GAO, its
 // elimination width, the planner's cost estimate, whether the data
-// overrode the structural order, the engine, any dictionary-encoded
+// overrode the structural order, the engine, Minesweeper's
+// product-suffix cut (the GAO index it walks outputs from), any
+// dictionary-encoded
 // attributes, and the domain ordering each encoded attribute's code
 // space follows (attr:rank or attr:freq) — without the last part a
 // stream consumer cannot tell whether the emission order and code-space
 // bounds mirror raw value order.
 func formatExplain(ex minesweeper.Explain) string {
-	line := fmt.Sprintf("-- explain: gao=%s width=%d cost=%.4g planned=%v engine=%s",
-		strings.Join(ex.GAO, ","), ex.Width, ex.EstCost, ex.Planned, ex.Engine)
+	line := fmt.Sprintf("-- explain: gao=%s width=%d cost=%.4g planned=%v engine=%s suffix_from=%d",
+		strings.Join(ex.GAO, ","), ex.Width, ex.EstCost, ex.Planned, ex.Engine, ex.SuffixFrom)
 	if len(ex.DictAttrs) > 0 {
 		line += " dict=" + strings.Join(ex.DictAttrs, ",")
 	}

@@ -157,7 +157,8 @@ func TestExplainFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	forced := formatExplain(pqForced.Explain())
-	if !strings.Contains(forced, "gao=A,B,C") || !strings.Contains(forced, "planned=false") {
+	// Under [A B C] the two atoms meet on B, so only C is walked.
+	if !strings.Contains(forced, "gao=A,B,C") || !strings.Contains(forced, "planned=false") || !strings.Contains(forced, "suffix_from=2") {
 		t.Errorf("forced explain line %q", forced)
 	}
 }

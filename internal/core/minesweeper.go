@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"minesweeper/internal/arena"
 	"minesweeper/internal/cds"
 	"minesweeper/internal/certificate"
 	"minesweeper/internal/ordered"
+	"minesweeper/internal/reltree"
 )
 
 // MinesweeperStreamContext evaluates the join with Algorithm 2 of the
@@ -24,15 +26,17 @@ import (
 // behaviour that worst-case-optimal algorithms lack. Probe points arrive
 // in increasing lexicographic order (GetProbePoint always returns the
 // smallest active point and the ruled-out region only grows), so output
-// tuples stream in GAO-lexicographic order. An output probe point is
-// followed by a walk of its last GAO level: the outputs sharing its
-// prefix t1…t_{n-1} are the leapfrog intersection of the last-level
-// sibling runs of the atoms ending there, so they cost no probe point
-// and no {ℓ,h} sweep, and one constraint ⟨t1,…,t_{n-1},(t_n−1, +∞)⟩
-// rules the whole run out. The context is checked once per probe point
-// (the outer loop of Algorithm 2) and before each further tuple of a
-// run, and evaluation stops with ctx.Err() when it is cancelled or its
-// deadline passes.
+// tuples stream in GAO-lexicographic order. An output probe point t is
+// followed by a walk of the GAO's product suffix, the levels from
+// k = Problem.SuffixFrom() on: the outputs sharing t's prefix t[:k] are
+// the product of the suffix atoms' sibling runs, with the leapfrog
+// intersection of the atoms ending on the last level innermost, so they
+// cost no probe point and no {ℓ,h} sweep, and one constraint
+// ⟨t[0],…,t[k−1],(t[k]−1, +∞)⟩ rules the whole product out. The
+// context is checked once per probe point (the outer loop of
+// Algorithm 2), and before each further tuple and on each backtrack of
+// a walk, and evaluation stops with ctx.Err() when it is cancelled or
+// its deadline passes.
 //
 // Emitted tuples are owned by the receiver (they are never reused), and
 // are block-allocated: retaining one keeps its whole block of up to
@@ -80,12 +84,13 @@ func releaseTree(tr *cds.Tree) {
 // across executions: the per-atom exploration trees and index-path
 // buffers of Algorithm 2 lines 4–10, the shared constraint-prefix
 // buffer (safe to reuse per insertion — InsConstraint never retains its
-// input), and the last-level walk's run cursors and emitted tuple.
-// Steady-state executions allocate nothing from here.
+// input), and the suffix walk's run ends, last-level cursors and emitted
+// tuple. Steady-state executions allocate nothing from here.
 type msScratch struct {
 	expl   []*gapNode
 	atoms  []atomScratch
 	prefix cds.Pattern
+	ends   []int
 	runs   []lastRun
 	out    []int
 }
@@ -105,6 +110,7 @@ func (sc *msScratch) prepare(p *Problem, n int) {
 			sc.atoms[i].idx = make([]int, 0, k)
 			sc.atoms[i].pathVals = make([]int, 0, k)
 			sc.atoms[i].widx = make([]int, 0, k)
+			sc.atoms[i].walk = make([]int, k)
 		}
 		if cap(sc.atoms[i].dims) < n {
 			sc.atoms[i].dims = make([]ordered.Range, 0, n)
@@ -120,8 +126,10 @@ func (sc *msScratch) prepare(p *Problem, n int) {
 	sc.prefix = sc.prefix[:n-1]
 	if cap(sc.out) < n {
 		sc.out = make([]int, n)
+		sc.ends = make([]int, n)
 	}
 	sc.out = sc.out[:n]
+	sc.ends = sc.ends[:n]
 }
 
 // release returns the scratch to its pool, dropping the last walk's
@@ -135,6 +143,10 @@ func (sc *msScratch) release() {
 // minesweeperShared is the engine core. emit receives the CDS probe
 // scratch directly — valid only until emit returns — so materializing
 // callers go through a copying wrapper (MinesweeperStreamContext).
+//
+// With p.Debug set, every emitted tuple must be strictly GAO-lex greater
+// than the one before it, or the run stops with an error: a constraint
+// that covers too little lets a later probe re-emit a tuple.
 func minesweeperShared(ctx context.Context, p *Problem, stats *certificate.Stats, emit func([]int) bool) error {
 	n := len(p.GAO)
 	tree := acquireTree(n)
@@ -148,6 +160,34 @@ func minesweeperShared(ctx context.Context, p *Problem, stats *certificate.Stats
 	sc.prepare(p, n)
 	seedBounds(tree, p.Bounds, sc.prefix)
 
+	if !p.Debug {
+		return sweep(ctx, p, tree, sc, stats, emit)
+	}
+	var unordered error
+	err := sweep(ctx, p, tree, sc, stats, ascending(emit, &unordered))
+	if unordered != nil {
+		return unordered
+	}
+	return err
+}
+
+// ascending passes tuples on to emit while each is strictly GAO-lex
+// greater than the one before it; the first that is not stops the run
+// and is reported in *bad.
+func ascending(emit func([]int) bool, bad *error) func([]int) bool {
+	var prev []int
+	return func(t []int) bool {
+		if prev != nil && slices.Compare(prev, t) >= 0 {
+			*bad = fmt.Errorf("core: emitted %v after %v — the stream is not strictly GAO-lex ascending", t, prev)
+			return false
+		}
+		prev = append(prev[:0], t...)
+		return emit(t)
+	}
+}
+
+// sweep is Algorithm 2's outer loop over the CDS tree's probe points.
+func sweep(ctx context.Context, p *Problem, tree *cds.Tree, sc *msScratch, stats *certificate.Stats, emit func([]int) bool) error {
 	for t := tree.GetProbePoint(); t != nil; t = tree.GetProbePoint() {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -166,23 +206,24 @@ func minesweeperShared(ctx context.Context, p *Problem, stats *certificate.Stats
 			if !emit(t) {
 				return nil
 			}
-			if keep, err := walkLastLevel(ctx, p, sc, t, stats, emit); err != nil || !keep {
+			if keep, err := walkSuffix(ctx, p, sc, t, stats, emit); err != nil || !keep {
 				return err
 			}
 			// An output breaks every widening streak: a gap re-found on
-			// both sides of a run is not the empty-rectangle grind that
+			// both sides of a walk is not the empty-rectangle grind that
 			// noteGap looks for.
 			for i := range sc.atoms {
 				sc.atoms[i].lastDepth = -1
 			}
-			// The walk emitted every output above t under its prefix, so
-			// one constraint rules the rest of the prefix out:
-			// ⟨t1,…,t_{n-1},(t_n−1, +∞)⟩.
-			prefix := sc.prefix[:n-1]
-			for j := 0; j < n-1; j++ {
+			// The walk emitted every output above t under t[:k], so one
+			// constraint rules the rest of that prefix out:
+			// ⟨t[0],…,t[k−1],(t[k]−1, +∞)⟩.
+			k := p.suffix.from
+			prefix := sc.prefix[:k]
+			for j := range prefix {
 				prefix[j] = cds.Eq(t[j])
 			}
-			lo, _ := ruledOutInterval(t[n-1])
+			lo, _ := ruledOutInterval(t[k])
 			tree.InsConstraint(cds.Constraint{Prefix: prefix, Lo: lo, Hi: ordered.PosInf})
 			continue
 		}
@@ -207,43 +248,52 @@ type lastRun struct {
 	pos, end int
 }
 
-// walkLastLevel emits the outputs that follow the output probe point t
-// under its prefix t1…t_{n-1}. Every atom whose last position is n−1
-// has t's path in its index, so the candidates for t_n are the sibling
-// run under that path; the atoms that stop earlier are satisfied by the
+// walkSuffix emits the outputs that follow the output probe point t
+// under its prefix t[:k], k = p.SuffixFrom(). Every level from k to n−2
+// is held by one atom, the atoms that stop above k are satisfied by the
 // prefix alone, and so is every CDS constraint below t (t is the
-// smallest active point, and the gaps the CDS holds rule out no
-// output). A leapfrog intersection of the runs upward from t_n, clipped
-// to the last position's bound, therefore lists exactly the outputs
-// Algorithm 2 would otherwise find one probe point and one {ℓ,h} sweep
-// each. Tuples are emitted from scratch, never t itself, and ctx is
-// checked before each of them. The walk ends when the runs hold no
-// further output, or early when emit returns false (keep is false) or
-// ctx is done (its error is returned) — the run stops there too.
-func walkLastLevel(ctx context.Context, p *Problem, sc *msScratch, t []int, stats *certificate.Stats, emit func([]int) bool) (keep bool, err error) {
-	n := len(t)
-	runs := sc.runs[:0]
-	for i := range p.Atoms {
+// smallest active point, and the gaps the CDS holds rule out no output).
+// The outputs are therefore the tuples of nested loops over the owners'
+// sibling runs, level k outermost, with the leapfrog intersection of the
+// last-level runs of the atoms ending on level n−1 innermost, every
+// level clipped to its bound: exactly the outputs Algorithm 2 would
+// otherwise find one probe point and one {ℓ,h} sweep each. The loops
+// resume from t's own index paths, so tuples come in GAO-lex order
+// from t on. A level whose run holds nothing within its bound sends the
+// walk back to the level that run hangs under (suffixPlan.back), past
+// the levels between, which it does not depend on. Tuples are emitted
+// from scratch, never t itself. ctx is checked before each of them and
+// on each backtrack, so a subtree without outputs does not outlast it.
+// The walk ends when the loops are exhausted, or early when emit
+// returns false (keep is false) or ctx is done (its error is returned) —
+// the run stops there too.
+func walkSuffix(ctx context.Context, p *Problem, sc *msScratch, t []int, stats *certificate.Stats, emit func([]int) bool) (keep bool, err error) {
+	n, k := len(t), p.suffix.from
+	sp := &p.suffix
+	// Resolve each suffix atom's exact index path: every node of an
+	// output's exploration holds its child index in lo (== hi).
+	for _, i := range sp.atoms {
 		a := &p.Atoms[i]
-		k := len(a.Positions)
-		if a.Positions[k-1] != n-1 {
-			continue
-		}
-		// Resolve the exact path: every node of an output's exploration
-		// holds its child index in lo (== hi).
+		path := sc.atoms[i].walk
 		nd := sc.expl[i]
-		lo, hi := a.Tree.Top()
-		for d := 0; d < k-1; d++ {
-			lo, hi = a.Tree.Children(d, lo+nd.lo)
+		for d := range a.Positions {
+			lo, _ := runAt(a.Tree, d, path)
+			path[d] = lo + nd.lo
 			nd = nd.hiChild
 		}
-		runs = append(runs, lastRun{vals: a.Tree.Level(k - 1), pos: lo + nd.lo, end: hi})
+	}
+	for j := k; j < n-1; j++ {
+		i := sp.owner[j-k]
+		_, sc.ends[j] = runAt(p.Atoms[i].Tree, sp.depth[j-k], sc.atoms[i].walk)
+	}
+	runs := sc.runs[:0]
+	for _, i := range sp.lastAtoms {
+		a := &p.Atoms[i]
+		d := len(a.Positions) - 1
+		_, end := runAt(a.Tree, d, sc.atoms[i].walk)
+		runs = append(runs, lastRun{vals: a.Tree.Level(d), pos: sc.atoms[i].walk[d], end: end})
 	}
 	sc.runs = runs
-	limit := ordered.PosInf - 1
-	if p.Bounds != nil {
-		limit = p.Bounds[n-1].Hi
-	}
 	copy(sc.out, t)
 	var steps int64
 	defer func() {
@@ -251,30 +301,24 @@ func walkLastLevel(ctx context.Context, p *Problem, sc *msScratch, t []int, stat
 			stats.Comparisons += steps
 		}
 	}()
-	for {
-		// Step the first cursor past the last output, then leapfrog every
-		// cursor up to a common value.
-		r := &runs[0]
-		r.pos++
-		steps++
-		if r.pos >= r.end {
-			return true, nil
-		}
-		v := r.vals[r.pos]
-		for i, agree := 1%len(runs), 1; agree < len(runs); i = (i + 1) % len(runs) {
-			r := &runs[i]
-			r.pos = seekRun(r.vals, r.pos, r.end, v, &steps)
-			if r.pos >= r.end {
-				return true, nil
-			}
-			if w := r.vals[r.pos]; w > v {
-				v, agree = w, 1
-			} else {
-				agree++
+	for j := n - 1; j >= k; {
+		// A backtrack may leave a subtree that held no output, so ctx is
+		// checked here as well as before each tuple.
+		if j < n-1 {
+			if err := ctx.Err(); err != nil {
+				return false, err
 			}
 		}
-		if v > limit {
-			return true, nil
+		if !sc.next(p, j, &steps) {
+			j--
+			continue
+		}
+		for j < n-1 && sc.open(p, j+1, &steps) {
+			j++
+		}
+		if j < n-1 {
+			j = sp.back[j+1-k]
+			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -282,11 +326,97 @@ func walkLastLevel(ctx context.Context, p *Problem, sc *msScratch, t []int, stat
 		if stats != nil {
 			stats.Outputs++
 		}
-		sc.out[n-1] = v
 		if !emit(sc.out) {
 			return false, nil
 		}
 	}
+	return true, nil
+}
+
+// runAt returns the range [lo, hi) of tr.Level(d) holding the sibling
+// run under the index path's entry at depth d−1 (the view's top run at
+// depth 0).
+func runAt(tr *reltree.Tree, d int, path []int) (lo, hi int) {
+	if d == 0 {
+		return tr.Top()
+	}
+	return tr.Children(d-1, path[d-1])
+}
+
+// next steps level j of a walk to the next value of its run, false when
+// the run holds none within the level's bound. On the last level it
+// steps the first cursor past the last output and leapfrogs.
+func (sc *msScratch) next(p *Problem, j int, steps *int64) bool {
+	*steps++
+	if j == len(sc.out)-1 {
+		r := &sc.runs[0]
+		r.pos++
+		return r.pos < r.end && sc.meet(p, steps)
+	}
+	sp := &p.suffix
+	i, d := sp.owner[j-sp.from], sp.depth[j-sp.from]
+	path := sc.atoms[i].walk
+	path[d]++
+	return path[d] < sc.ends[j] && sc.take(p, j, p.Atoms[i].Tree.Level(d)[path[d]])
+}
+
+// open starts level j of a walk on the run its owner's current path
+// reaches, at the first value within the level's bound, false when
+// there is none. On the last level it starts every cursor and
+// leapfrogs.
+func (sc *msScratch) open(p *Problem, j int, steps *int64) bool {
+	lo := 0
+	if p.Bounds != nil {
+		lo = p.Bounds[j].Lo
+	}
+	sp := &p.suffix
+	if j < len(sc.out)-1 {
+		i, d := sp.owner[j-sp.from], sp.depth[j-sp.from]
+		tr, path := p.Atoms[i].Tree, sc.atoms[i].walk
+		vals := tr.Level(d)
+		pos, end := runAt(tr, d, path)
+		pos = seekFrom(vals, pos, end, lo, steps)
+		path[d], sc.ends[j] = pos, end
+		return pos < end && sc.take(p, j, vals[pos])
+	}
+	for x, i := range sp.lastAtoms {
+		a := &p.Atoms[i]
+		r := &sc.runs[x]
+		r.pos, r.end = runAt(a.Tree, len(a.Positions)-1, sc.atoms[i].walk)
+	}
+	r := &sc.runs[0]
+	r.pos = seekFrom(r.vals, r.pos, r.end, lo, steps)
+	return r.pos < r.end && sc.meet(p, steps)
+}
+
+// meet leapfrogs the last-level cursors up from the first one's value
+// to the next value they all hold, and takes it.
+func (sc *msScratch) meet(p *Problem, steps *int64) bool {
+	runs := sc.runs
+	v := runs[0].vals[runs[0].pos]
+	for i, agree := 1%len(runs), 1; agree < len(runs); i = (i + 1) % len(runs) {
+		r := &runs[i]
+		r.pos = seekRun(r.vals, r.pos, r.end, v, steps)
+		if r.pos >= r.end {
+			return false
+		}
+		if w := r.vals[r.pos]; w > v {
+			v, agree = w, 1
+		} else {
+			agree++
+		}
+	}
+	return sc.take(p, len(sc.out)-1, v)
+}
+
+// take sets level j of the walk's tuple to v, false when v lies above
+// the level's bound (and every later value of the run with it).
+func (sc *msScratch) take(p *Problem, j, v int) bool {
+	if p.Bounds != nil && v > p.Bounds[j].Hi {
+		return false
+	}
+	sc.out[j] = v
+	return true
 }
 
 // seekRun returns the first position in [pos, end) of the sorted vals
@@ -312,6 +442,15 @@ func seekRun(vals []int, pos, end, v int, steps *int64) int {
 		}
 	}
 	return lo
+}
+
+// seekFrom is seekRun, except that it takes no step when the run
+// already starts at a value ≥ v.
+func seekFrom(vals []int, pos, end, v int, steps *int64) int {
+	if pos < end && vals[pos] < v {
+		return seekRun(vals, pos, end, v, steps)
+	}
+	return pos
 }
 
 // seedBounds pushes per-position value bounds into the CDS before the
@@ -395,6 +534,7 @@ type atomScratch struct {
 	idx                               []int
 	pathVals                          []int
 	widx                              []int
+	walk                              []int // the suffix walk's index path
 	dims                              []ordered.Range
 	lastDepth, lastLo, lastHi, streak int
 	arena                             arena.Arena[gapNode]

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -426,5 +428,98 @@ func TestMinesweeperDomainMaxValues(t *testing.T) {
 	want := [][]int{{0, top}, {top, top}}
 	if !reflect.DeepEqual(out, want) {
 		t.Fatalf("got %v, want %v", out, want)
+	}
+}
+
+func TestPlanSuffix(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		n         int
+		positions [][]int
+		k         int
+	}{
+		{"one attribute", 1, [][]int{{0}, {0}}, 0},
+		{"one atom", 3, [][]int{{0, 1, 2}}, 0},
+		{"two-path [B A C]", 3, [][]int{{0, 1}, {0, 2}}, 1},
+		{"two-path [A B C]", 3, [][]int{{0, 1}, {1, 2}}, 2},
+		{"triangle", 3, [][]int{{0, 1}, {1, 2}, {0, 2}}, 2},
+		{"star", 4, [][]int{{0, 1}, {0, 2}, {0, 3}}, 1},
+		{"path [B C A D]", 4, [][]int{{0, 2}, {0, 1}, {1, 3}}, 2},
+		{"chain over an intersection", 3, [][]int{{0, 1, 2}, {0, 2}}, 1},
+		{"two chains over an intersection", 4, [][]int{{0, 1, 3}, {2, 3}}, 2},
+	} {
+		if got := PlanSuffix(c.n, c.positions); got != c.k {
+			t.Errorf("%s: k* = %d, want %d", c.name, got, c.k)
+		}
+	}
+}
+
+// The Debug order check stops a run at the first tuple that does not
+// ascend strictly, before the receiver sees it.
+func TestAscendingStopsOnRepeat(t *testing.T) {
+	var got [][]int
+	var bad error
+	emit := ascending(func(t []int) bool {
+		got = append(got, append([]int(nil), t...))
+		return true
+	}, &bad)
+	for _, tup := range [][]int{{1, 9}, {2, 0}, {2, 3}} {
+		if !emit(tup) || bad != nil {
+			t.Fatalf("%v rejected after %v: %v", tup, got, bad)
+		}
+	}
+	if emit([]int{2, 3}) || bad == nil {
+		t.Fatal("a repeated tuple passed")
+	}
+	if emit([]int{1, 0}); len(got) != 3 {
+		t.Fatalf("the receiver saw %v", got)
+	}
+}
+
+// tripCtx reports cancellation once *tripped is set, so a test can
+// cancel at an exact point of a run without a second goroutine.
+type tripCtx struct {
+	context.Context
+	tripped *bool
+}
+
+func (c tripCtx) Err() error {
+	if *c.tripped {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A walk whose subtree holds no further output still honours a cancel:
+// under X(A,B,C), T(A,C) and [A B C] (k* = 1) the first output is
+// (0,0,0), and every later B value's C run misses T. Cancelled at that
+// output, the walk must stop at its first backtrack instead of stepping
+// through all n B values before the sweep looks at ctx again.
+func TestSuffixWalkCancelWithoutOutputs(t *testing.T) {
+	const n = 5000
+	x := [][]int{{0, 0, 0}}
+	for b := 1; b <= n; b++ {
+		x = append(x, []int{0, b, 1})
+	}
+	p := mustProblem(t, []string{"A", "B", "C"}, []AtomSpec{
+		{Name: "X", Attrs: []string{"A", "B", "C"}, Tuples: x},
+		{Name: "T", Attrs: []string{"A", "C"}, Tuples: [][]int{{0, 0}}},
+	})
+	if p.SuffixFrom() != 1 {
+		t.Fatalf("k* = %d, want 1", p.SuffixFrom())
+	}
+	tripped := false
+	var stats certificate.Stats
+	var got [][]int
+	err := MinesweeperStreamContext(tripCtx{context.Background(), &tripped}, p, &stats, func(t []int) bool {
+		got = append(got, t)
+		tripped = true
+		return true
+	})
+	if !errors.Is(err, context.Canceled) || !reflect.DeepEqual(got, [][]int{{0, 0, 0}}) {
+		t.Fatalf("err = %v, tuples %v; want context.Canceled after [[0 0 0]]", err, got)
+	}
+	if stats.Comparisons >= n {
+		t.Fatalf("%d comparisons after the cancel: the walk ran through the B values without checking ctx", stats.Comparisons)
 	}
 }

@@ -88,7 +88,9 @@ type Problem struct {
 	Bounds []Bound
 	// Debug enables the per-iteration soundness check that each non-output
 	// probe point is covered by a freshly inserted constraint (the
-	// termination invariant of Theorem 3.2's proof). O(2^n log W) per probe.
+	// termination invariant of Theorem 3.2's proof), O(2^n log W) per
+	// probe, and Minesweeper's check that every emitted tuple is strictly
+	// GAO-lex greater than the one before it.
 	Debug bool
 	// DisableBoxes turns off box-constraint emission, restricting the CDS
 	// to the paper's per-attribute interval gaps. Exists for the
@@ -102,6 +104,86 @@ type Problem struct {
 	// whole ignore them.
 	Splits   []int
 	SplitPos int
+	// suffix is the GAO's product-suffix plan, fixed when the problem is
+	// assembled (see SuffixFrom).
+	suffix suffixPlan
+}
+
+// SuffixFrom returns the cut level k* of the GAO's product suffix (see
+// PlanSuffix). Below a prefix t[:k*], Minesweeper enumerates the outputs
+// of an output probe point by nested loops over the atoms' sibling runs
+// instead of probing for them.
+func (p *Problem) SuffixFrom() int { return p.suffix.from }
+
+// suffixPlan is how a walk enumerates the product suffix below level
+// from: levels from…n−2 are each held by one atom (owner, at index
+// depth depth), and lastAtoms are the atoms meeting on the last level,
+// whose sibling runs are intersected there. back[j−from] is the level a
+// walk advances next when level j's run holds nothing within its bound
+// from its start: the deepest level that run depends on, or from−1
+// when it depends on the prefix alone.
+type suffixPlan struct {
+	from      int
+	owner     []int
+	depth     []int
+	lastAtoms []int
+	back      []int
+	atoms     []int // every atom holding a suffix level
+}
+
+// PlanSuffix returns the cut level k* for a GAO of n attributes and
+// atoms over the given GAO positions: the shallowest level such that
+// every level from k* to n−2 belongs to exactly one atom, so that with
+// t1…t_{k*} fixed the outputs below are the product of the atoms'
+// sibling runs. Several atoms may meet on the last level, where the
+// runs are intersected, but then levels k*…n−2 must all be one atom's:
+// a product of two atoms' runs above an intersection could walk every
+// pair of them for one output. k* = n−1 is the last-level walk alone.
+func PlanSuffix(n int, positions [][]int) int {
+	return planSuffix(n, positions).from
+}
+
+func planSuffix(n int, positions [][]int) suffixPlan {
+	m := len(positions)
+	buf := make([]int, 4*n+2*m)
+	count, holder, depth, back := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:4*n]
+	for i, pos := range positions {
+		for d, j := range pos {
+			count[j]++
+			holder[j], depth[j] = i, d
+		}
+	}
+	k := n - 1
+	for k > 0 && count[k-1] == 1 && (count[n-1] == 1 || k == n-1 || holder[k-1] == holder[n-2]) {
+		k--
+	}
+	// parent is the level the run of atom i at index depth d hangs under,
+	// or k−1 when that level is in the prefix.
+	parent := func(i, d int) int {
+		if d > 0 && positions[i][d-1] >= k {
+			return positions[i][d-1]
+		}
+		return k - 1
+	}
+	for j := k; j < n-1; j++ {
+		back[j] = parent(holder[j], depth[j])
+	}
+	sp := suffixPlan{from: k, owner: holder[k : n-1], depth: depth[k : n-1], back: back[k:n],
+		lastAtoms: buf[4*n : 4*n : 4*n+m], atoms: buf[4*n+m : 4*n+m]}
+	back[n-1] = k - 1
+	for i, pos := range positions {
+		d := len(pos) - 1
+		if pos[d] == n-1 {
+			sp.lastAtoms = append(sp.lastAtoms, i)
+			back[n-1] = max(back[n-1], parent(i, d))
+		}
+		// Levels k…n−2 are one atom's each, so an atom reaching below k
+		// holds a suffix level.
+		if pos[d] >= k {
+			sp.atoms = append(sp.atoms, i)
+		}
+	}
+	return sp
 }
 
 // ColumnPlan computes, for an atom with the given attributes under the
@@ -213,6 +295,11 @@ func NewProblemFromAtoms(gao []string, atoms []Atom) (*Problem, error) {
 			return nil, fmt.Errorf("core: GAO attribute %q appears in no atom", gao[i])
 		}
 	}
+	positions := make([][]int, len(atoms))
+	for i, a := range atoms {
+		positions[i] = a.Positions
+	}
+	p.suffix = planSuffix(len(gao), positions)
 	return p, nil
 }
 
@@ -240,7 +327,7 @@ func NewProblem(gao []string, atoms []AtomSpec) (*Problem, error) {
 // receiver to its snapshot, which is what makes a cached problem safe for
 // concurrent executions.
 func (p *Problem) Snapshot() *Problem {
-	cp := &Problem{GAO: p.GAO, Bounds: p.Bounds, Debug: p.Debug, DisableBoxes: p.DisableBoxes, Splits: p.Splits, SplitPos: p.SplitPos}
+	cp := &Problem{GAO: p.GAO, Bounds: p.Bounds, Debug: p.Debug, DisableBoxes: p.DisableBoxes, Splits: p.Splits, SplitPos: p.SplitPos, suffix: p.suffix}
 	cp.Atoms = make([]Atom, len(p.Atoms))
 	views := make([]reltree.Tree, len(p.Atoms))
 	for i, a := range p.Atoms {

@@ -8,7 +8,7 @@
 //
 //   - Run evaluates the prepared problem and calls emit once per output
 //     tuple, in GAO-lexicographic order, with a fresh slice the callback
-//     may retain.
+//     owns: it may retain it or write to it.
 //   - emit returning false stops the enumeration; Run then returns nil.
 //   - A cancelled or expired context stops the run with ctx.Err().
 //   - stats may be nil; when set, the run's cost counters accumulate

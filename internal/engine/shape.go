@@ -2,9 +2,9 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sort"
 
-	"minesweeper/internal/arena"
 	"minesweeper/internal/certificate"
 	"minesweeper/internal/core"
 )
@@ -121,9 +121,12 @@ type group struct {
 // RunShaped evaluates the problem through run and streams the shaped
 // output to emit. For plain (non-aggregate) shapes, shaped tuples are
 // emitted in the engines' GAO-lexicographic discovery order — identical
-// across engines — with fresh slices the callback may retain, carved
-// from blocks of arena.TupleBlock tuples; emit returning false stops
-// the run. For aggregate shapes the evaluation runs to completion first
+// across engines — with fresh slices the callback may retain; emit
+// returning false stops the run. A raw tuple is the receiver's (see the
+// package contract), so each shaped tuple is permuted into the front of
+// its raw tuple, not copied; a shape wider than the raw tuple is an
+// error. For
+// aggregate shapes the evaluation runs to completion first
 // (aggregation needs every raw tuple), then the group rows stream
 // sorted by group key. stats counts the raw run: stats.Outputs is the
 // number of raw join tuples the engine emitted, which may exceed the
@@ -142,8 +145,11 @@ func RunShaped(ctx context.Context, run RunFunc, p *core.Problem, sh *Shape, sta
 	if sh.Distinct {
 		seen = map[string]struct{}{}
 	}
+	if len(sh.Cols) > len(p.GAO) {
+		return fmt.Errorf("engine: shape of %d columns over %d-column tuples", len(sh.Cols), len(p.GAO))
+	}
 	var keyBuf []byte
-	shaped := arena.Tuples{Width: len(sh.Cols)}
+	perm := make([]int, len(sh.Cols))
 	return run(ctx, p, stats, func(t []int) bool {
 		if sh.Bounds != nil && !sh.inBounds(t) {
 			return true
@@ -155,10 +161,11 @@ func RunShaped(ctx context.Context, run RunFunc, p *core.Problem, sh *Shape, sta
 			}
 			seen[string(keyBuf)] = struct{}{}
 		}
-		out := shaped.Next()
 		for i, c := range sh.Cols {
-			out[i] = t[c]
+			perm[i] = t[c]
 		}
+		out := t[:len(perm):len(perm)]
+		copy(out, perm)
 		return emit(out)
 	})
 }

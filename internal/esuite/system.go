@@ -173,8 +173,10 @@ func planning() *Experiment {
 		ID: "E12", Key: "planner",
 		Title: "Data-aware GAO planning and dense-domain dictionaries on sparse joins",
 		Claim: "On skewed sizes the cost-based order cuts probes ~40x against the structural " +
-			"default; on the output-heavy instance the order removes the box churn and the " +
-			"dictionary removes the phantom successor probes (PlannedRaw vs Planned).",
+			"default; on the output-heavy instance the order removes the box churn and lets " +
+			"Minesweeper walk the whole output as one product suffix, and the dictionary still " +
+			"removes the phantom gaps: fewer constraints, FindGaps and CDS ops at equal probes " +
+			"(PlannedRaw vs Planned).",
 		Cases: []Case{
 			tracked("SparseSkew/Default", sparse(skew, false, minesweeper.DictOff)),
 			tracked("SparseSkew/Planned", sparse(skew, true, minesweeper.DictOn)),
@@ -460,6 +462,10 @@ func sharding() *Experiment {
 // the one parallel executor, engine.Parallel, at 1/2/4 workers. The
 // morsel cut depends on the data and the worker count alone, so the
 // summed counters are exact and gated like the sequential cases.
+// OutBound is msserve's out_bound shape, R(A,B), S(B,C) with every value
+// of degree 4, under the order [B A C] the planner serves it with:
+// below each B value its outputs are the product of R's A run and S's C
+// run, which Minesweeper walks after one output probe.
 func parallel() *Experiment {
 	e := &Experiment{
 		ID: "E18", Key: "parallel",
@@ -494,7 +500,29 @@ func parallel() *Experiment {
 			return runInstance(p, engine.Parallel(engine.Engine{IndexOnly: true, Run: core.TriangleRun}, w)), nil
 		})
 	}
+	for _, w := range []int{1, 4} {
+		add("OutBound", "minesweeper", w, join("minesweeper", func(Scale) query {
+			return query{gao: []string{"B", "A", "C"}, workers: w, atoms: []core.AtomSpec{
+				{Name: "R", Attrs: []string{"A", "B"}, Tuples: regularPairs(200, 4, 7, 53)},
+				{Name: "S", Attrs: []string{"B", "C"}, Tuples: regularPairs(200, 4, 11, 29)},
+			}}
+		}))
+	}
 	return e
+}
+
+// regularPairs is a bipartite graph over [0, n)² in which every value
+// has degree deg on either side: x is paired with (mul·x + step·k) mod n
+// for k < deg. mul must be a unit mod n and step·k distinct mod n for
+// k < deg. It is msserve's out_bound shape at unit-test size.
+func regularPairs(n, deg, mul, step int) [][]int {
+	out := make([][]int, 0, n*deg)
+	for x := 0; x < n; x++ {
+		for k := 0; k < deg; k++ {
+			out = append(out, []int{x, (mul*x + step*k) % n})
+		}
+	}
+	return out
 }
 
 // --- hot-path micro-benchmarks ---------------------------------------

@@ -4,15 +4,18 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
-// Minesweeper walks the last GAO level of every output it probes: the
-// outputs that share the probe's prefix come from intersecting the
-// atoms' last-level sibling runs, and one constraint rules the run out.
-// These cases pin the walk's edges — bounds on the last attribute,
-// point-bounded and one-attribute orders, morsel views, limits and
-// cancellation inside a run, several atoms ending on the last attribute
+// Minesweeper walks the product suffix of every output it probes: below
+// the cut level k* (Explain.SuffixFrom) the outputs that share the
+// probe's prefix come from nested loops over the atoms' sibling runs,
+// with the atoms' last-level runs intersected innermost, and one
+// constraint rules the whole product out. These cases pin the walk's
+// edges — the cut level, bounds on every walked level, point-bounded
+// and one-attribute orders, morsel views, limits and cancellation
+// inside a run or a product, several atoms ending on the last attribute
 // and self-joins — against Leapfrog and the hash plan, byte for byte.
 
 // runRel builds a relation whose tuples share long last-level runs:
@@ -224,6 +227,223 @@ func TestLastLevelWalkSelfJoin(t *testing.T) {
 	for _, gao := range [][]string{{"A", "B", "C"}, {"B", "A", "C"}, {"B", "C", "A"}} {
 		if res := assertSameStream(t, q, Options{GAO: gao}); len(res.Tuples) == 0 {
 			t.Fatalf("%v: empty self-join", gao)
+		}
+	}
+}
+
+// suffixFrom returns the cut level the prepared plan reports, and fails
+// unless Query.Explain, which binds nothing, reports the same.
+func suffixFrom(t *testing.T, q *Query, opts Options) int {
+	t.Helper()
+	pq, err := q.Prepare(&opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := q.Explain(&opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pq.Explain().SuffixFrom; got != ex.SuffixFrom {
+		t.Fatalf("prepared plan reports k* = %d, Query.Explain %d", got, ex.SuffixFrom)
+	}
+	return ex.SuffixFrom
+}
+
+// suffixQuery builds a query over runRel relations: one per atom, named
+// by the atom's position, binary unless the atom has three variables.
+func suffixQuery(t *testing.T, vars ...[]string) *Query {
+	t.Helper()
+	var atoms []Atom
+	for i, v := range vars {
+		name := fmt.Sprintf("R%d", i)
+		r := runRel(t, name, 12, 12, func(a, b int) bool { return (a*(i+2)+b*(i+1))%5 < 3 })
+		if len(v) == 3 {
+			var tuples [][]int
+			for a := 0; a < 8; a++ {
+				for b := 0; b < 8; b++ {
+					for c := 0; c < 12; c++ {
+						if (a+2*b+3*c)%4 < 2 {
+							tuples = append(tuples, []int{a, b, c})
+						}
+					}
+				}
+			}
+			r = rel(t, name, 3, tuples)
+		}
+		atoms = append(atoms, Atom{Rel: r, Vars: v})
+	}
+	q, err := NewQuery(atoms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func TestSuffixWalkCutLevel(t *testing.T) {
+	ab, bc, cd := []string{"A", "B"}, []string{"B", "C"}, []string{"C", "D"}
+	ac, ad := []string{"A", "C"}, []string{"A", "D"}
+	for _, c := range []struct {
+		name string
+		vars [][]string
+		gao  string
+		k    int
+	}{
+		// A lives only in R and C only in S below B: msserve's out_bound.
+		{"two-path", [][]string{ab, bc}, "BAC", 1},
+		{"star", [][]string{ab, ac, ad}, "ABCD", 1},
+		{"path", [][]string{ab, bc, cd}, "BCAD", 2},
+		{"path", [][]string{ab, bc, cd}, "CBAD", 2},
+		{"path", [][]string{ab, bc, cd}, "ABCD", 3},
+		{"triangle", [][]string{ab, bc, ac}, "ABC", 2},
+		// Two atoms meet on C below X's chain: the product stays one
+		// atom's runs above the intersection.
+		{"chain over intersection", [][]string{{"A", "B", "C"}, ac}, "ABC", 1},
+		// Two atoms meet on D, and above it B is X's and C is Y's: a walk
+		// from B would try every (b, c) pair for an intersection, so the
+		// cut stays below B, where C is Y's run alone.
+		{"pairs over intersection", [][]string{{"A", "B", "D"}, cd}, "ABCD", 2},
+	} {
+		gao := strings.Split(c.gao, "")
+		t.Run(c.name+"/"+c.gao, func(t *testing.T) {
+			q := suffixQuery(t, c.vars...)
+			if got := suffixFrom(t, q, Options{GAO: gao}); got != c.k {
+				t.Fatalf("k* = %d, want %d", got, c.k)
+			}
+			for _, workers := range []int{1, 4} {
+				if res := assertSameStream(t, q, Options{GAO: gao, Workers: workers}); len(res.Tuples) == 0 {
+					t.Fatal("empty join: the walk is not exercised")
+				}
+			}
+		})
+	}
+}
+
+// Every walked level bounded below and above, one at a time and all at
+// once: a walk must clip each level's run to its bound on entry and on
+// every step. In X(A,B,D), Y(A,C) a point bound on D empties the D runs
+// of some B values, and the walk must go back to B past C.
+func TestSuffixWalkBounds(t *testing.T) {
+	for _, c := range []struct {
+		vars [][]string
+		gao  string
+	}{
+		{[][]string{{"A", "B"}, {"A", "C"}, {"A", "D"}}, "ABCD"},
+		{[][]string{{"A", "B"}, {"B", "C"}, {"C", "D"}}, "BCAD"},
+		{[][]string{{"A", "B", "C"}, {"A", "C"}}, "ABC"},
+		{[][]string{{"A", "B", "D"}, {"A", "C"}}, "ABCD"},
+	} {
+		q := suffixQuery(t, c.vars...)
+		gao := strings.Split(c.gao, "")
+		k := suffixFrom(t, q, Options{GAO: gao})
+		var all []Filter
+		for _, v := range gao[k:] {
+			lohi := []Filter{{Var: v, Op: ">=", Value: 2}, {Var: v, Op: "<=", Value: 8}}
+			all = append(all, lohi...)
+			for _, where := range [][]Filter{lohi[:1], lohi[1:], lohi, {{Var: v, Op: "=", Value: 3}}} {
+				t.Run(fmt.Sprint(c.gao, where), func(t *testing.T) {
+					for _, workers := range []int{1, 4} {
+						if res := assertSameStream(t, q, Options{GAO: gao, Where: where, Workers: workers}); len(res.Tuples) == 0 {
+							t.Fatal("empty result: the bound is not exercised")
+						}
+					}
+				})
+			}
+		}
+		t.Run(fmt.Sprint(c.gao, all), func(t *testing.T) {
+			if res := assertSameStream(t, q, Options{GAO: gao, Where: all}); len(res.Tuples) == 0 {
+				t.Fatal("empty result: the bounds are not exercised")
+			}
+		})
+	}
+}
+
+// A star whose first output, the all-zero tuple, heads a 10 × 10 × 10
+// product below A = 0. A limit-1 run costs one output probe: two probe
+// points in all, since every run first sweeps the corner below the
+// domain. A limit anywhere inside the product costs no further probe,
+// and a cancel inside it yields exactly the tuples before it.
+func TestSuffixWalkLimitAndCancel(t *testing.T) {
+	leaf := func(name string) *Relation {
+		return runRel(t, name, 3, 10, func(a, b int) bool { return a == 0 || b%3 == a })
+	}
+	q, err := NewQuery(
+		Atom{Rel: leaf("R"), Vars: []string{"A", "B"}},
+		Atom{Rel: leaf("S"), Vars: []string{"A", "C"}},
+		Atom{Rel: leaf("T"), Vars: []string{"A", "D"}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{GAO: []string{"A", "B", "C", "D"}}
+	if k := suffixFrom(t, q, opts); k != 1 {
+		t.Fatalf("k* = %d, want 1", k)
+	}
+	full := assertSameStream(t, q, opts)
+	one, err := ExecuteLimit(q, &Options{Engine: EngineMinesweeper, GAO: opts.GAO}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Stats.ProbePoints != 2 {
+		t.Fatalf("a limit-1 run took %d probes, want the corner and the output", one.Stats.ProbePoints)
+	}
+	for _, k := range []int{1, 2, 10, 11, 101, 999, 1000, 1001, 1020} {
+		for _, eng := range []Engine{EngineMinesweeper, EngineLeapfrog} {
+			res, err := ExecuteLimit(q, &Options{Engine: eng, GAO: opts.GAO}, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fmt.Sprint(res.Tuples), fmt.Sprint(full.Tuples[:k]); got != want {
+				t.Fatalf("%v limit %d:\ngot  %s\nwant %s", eng, k, got, want)
+			}
+			if eng == EngineMinesweeper && k <= 1000 && res.Stats.ProbePoints != one.Stats.ProbePoints {
+				t.Fatalf("limit %d inside the first product took %d probes, limit 1 %d", k, res.Stats.ProbePoints, one.Stats.ProbePoints)
+			}
+		}
+	}
+	for _, at := range []int{1, 7, 10, 11, 500, 1000, 1001} {
+		ctx, cancel := context.WithCancel(context.Background())
+		seen, late := 0, false
+		_, err := ExecuteStreamContext(ctx, q, &Options{Engine: EngineMinesweeper, GAO: opts.GAO}, func(tup []int) bool {
+			if ctx.Err() != nil {
+				late = true
+			}
+			if fmt.Sprint(tup) != fmt.Sprint(full.Tuples[seen]) {
+				t.Errorf("cancel at %d: tuple %d = %v, want %v", at, seen, tup, full.Tuples[seen])
+			}
+			seen++
+			if seen == at {
+				cancel()
+			}
+			return true
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at %d: err = %v, want context.Canceled", at, err)
+		}
+		if late || seen != at {
+			t.Fatalf("cancel at %d: %d tuples yielded, late=%v", at, seen, late)
+		}
+	}
+}
+
+// The self-join star R(A,B), R(A,C) walks two views of one index.
+func TestSuffixWalkSelfJoinStar(t *testing.T) {
+	r := runRel(t, "R", 30, 30, func(a, b int) bool { return (a*b+a)%4 != 1 })
+	q, err := NewQuery(Atom{Rel: r, Vars: []string{"A", "B"}}, Atom{Rel: r, Vars: []string{"A", "C"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{GAO: []string{"A", "B", "C"}}
+	if k := suffixFrom(t, q, opts); k != 1 {
+		t.Fatalf("k* = %d, want 1", k)
+	}
+	for _, c := range []struct{ workers, morsels int }{{1, 1}, {4, 16}} {
+		opts.Workers = c.workers
+		res := assertSameStream(t, q, opts)
+		// One gap probe and one output probe per A value, and one corner
+		// probe per morsel.
+		if res.Stats.ProbePoints > 2*30+int64(c.morsels) {
+			t.Fatalf("workers=%d: %d probes for 30 A values", c.workers, res.Stats.ProbePoints)
 		}
 	}
 }

@@ -460,7 +460,9 @@ type Options struct {
 	// by a constant, emitted in order, so the stream is a sequential run's
 	// and its first tuple waits for one morsel. Other engines ignore it.
 	Workers int
-	// Debug enables internal soundness checks (slower).
+	// Debug enables internal soundness checks (slower): Minesweeper
+	// fails a run whose probe point no discovered gap covers, or whose
+	// stream does not ascend strictly in GAO-lex order.
 	Debug bool
 	// Select projects the output onto the given variables, in order,
 	// under set semantics (dropped columns never produce duplicate

@@ -589,6 +589,13 @@ type Explain struct {
 	// relations unsliced (a hash partition, a frequency-permuted domain
 	// or a materializing engine). Empty for unsharded execution.
 	Partitions []string `json:"partitions,omitempty"`
+	// SuffixFrom is the GAO index of the order's product-suffix cut k*,
+	// read off the bound plan: below a prefix GAO[:k*], Minesweeper
+	// walks the outputs of each output probe point by nested loops over
+	// the atoms' sibling runs instead of probing for them. len(GAO)−1
+	// is the walk of the last level alone. It describes the plan; it is
+	// not an option.
+	SuffixFrom int `json:"suffix_from"`
 	// Engine is the resolved engine.
 	Engine Engine `json:"-"`
 }
@@ -609,6 +616,8 @@ func (pq *PreparedQuery) explainState(st *prepState) Explain {
 		EstCost: st.cost,
 		Planned: st.planned,
 		Engine:  pq.eng,
+		// Hidden constant columns lead the evaluation order.
+		SuffixFrom: max(st.problem.SuffixFrom()-(len(st.ext)-len(st.gao)), 0),
 	}
 	if st.dicts.Any() {
 		for i, d := range st.dicts.ByPos {
@@ -672,6 +681,13 @@ func (q *Query) Explain(opts *Options) (Explain, error) {
 	if sh != nil {
 		bounds = sh.Bounds
 	}
+	positions := make([][]int, len(q.atoms))
+	for i, a := range q.atoms {
+		if positions[i], _, err = core.ColumnPlan(ext, a.Vars); err != nil {
+			return Explain{}, fmt.Errorf("minesweeper: %w", err)
+		}
+	}
+	ex.SuffixFrom = max(core.PlanSuffix(len(ext), positions)-(len(ext)-len(ex.GAO)), 0)
 	encode, freq := q.dictPlan(&o, ext, bounds)
 	for i, on := range encode {
 		if on {

@@ -107,9 +107,9 @@ func TestPreparedWarmPathShapedAllocScaling(t *testing.T) {
 		t.Skip("race detector instrumentation allocates; budgets measured without -race")
 	}
 	// The GAO [B A C] is not the output order [A B C], so every tuple is
-	// shaped: shaped tuples, like the engine's, must come from blocks.
-	// A run then costs one engine block and one shaped block per 128
-	// tuples on top of the fixed per-run fixtures.
+	// shaped: the engine's tuples come from blocks, and shaping permutes
+	// each in place. A run then costs one engine block per 128 tuples on
+	// top of the fixed per-run fixtures.
 	const z = 512
 	var rT, sT [][]int
 	for i := 0; i < 32; i++ {
