@@ -35,10 +35,10 @@
 // catalog at startup.
 //
 // The data plane is always one owner of -shards N x -replicas R
-// (defaults 1 x 1): every relation is partitioned across N fragment
-// owners, a query runs once over the whole relations (a range
-// partition's splits cut its morsels), and every fragment owner logs
-// to R synchronous replicas while holding its data in memory once.
+// (defaults 1 x 1): every relation is held in memory once and its rows
+// are logged, by partition, to N shard logs, each kept on R synchronous
+// replicas; a query runs once over the relations (a range partition's
+// splits cut its morsels).
 // With -data-dir it is durable: each replica has its own directory (shard-<i>/replica-<j>/, routing in shards.json), every
 // mutation is appended to a CRC-checked write-ahead log before it
 // applies, the log compacts into full snapshots as it grows, and a

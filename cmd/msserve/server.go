@@ -83,7 +83,8 @@ type reopenTarget struct {
 // downReplicaTargets is the reopen policy of every durable
 // configuration: each replica the catalog reports down — a poisoned
 // 1 x 1 store shows up as shard-0/replica-0 — is reopened on a fresh
-// backend from open and the shard's in-memory state compacted into it.
+// backend from open and the shard log's state, rendered from memory,
+// compacted into it.
 func downReplicaTargets(sc *shard.Catalog, open func(shard, replica int) (storage.Backend, error)) func() []reopenTarget {
 	return func() []reopenTarget {
 		var out []reopenTarget
@@ -462,8 +463,8 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.cat.Degraded(); err != nil {
 		w.Header().Set("Retry-After", "1")
-		// Per-shard detail: which fragment owners are poisoned and which
-		// are still healthy (reads keep serving from all).
+		// Per-shard detail: which shard logs are poisoned and which are
+		// still healthy (reads keep serving every relation).
 		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"ready": false, "reason": "storage degraded: read-only", "error": err.Error(),
 			"shards": shardHealth(s.cat.ShardStats()),

@@ -214,10 +214,10 @@ func TestFreqDomainPreparedSurvivesMutation(t *testing.T) {
 	// A fresh (a, b) pair joining a fresh (b, c) pair: exactly one new
 	// output tuple.
 	const stride = 9973
-	if err := rels[0].(*Relation).Insert([]int{999 * stride, 777 * stride}); err != nil {
+	if err := rels[0].Insert([]int{999 * stride, 777 * stride}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rels[1].(*Relation).Insert([]int{777 * stride, 888 * stride}); err != nil {
+	if err := rels[1].Insert([]int{777 * stride, 888 * stride}); err != nil {
 		t.Fatal(err)
 	}
 	after, err := pq.Execute()

@@ -67,10 +67,10 @@ func TestMemberElection(t *testing.T) {
 	if err := sameCatalogState(c, want); err != nil {
 		t.Fatalf("opened over a laggard and a leader: %v", err)
 	}
-	if got := c.Primary(); got != 0 {
+	if got := c.Primary(0); got != 0 {
 		t.Fatalf("primary = %d at open, want 0 (the lowest live member)", got)
 	}
-	for j, m := range c.Members() {
+	for j, m := range c.LogStats()[0].Members {
 		if m.Err != nil {
 			t.Fatalf("member %d down after open: %v", j, m.Err)
 		}
@@ -104,21 +104,21 @@ func TestMemberMissingRecordIsMarkedDown(t *testing.T) {
 	if rel.Len() != 2 || rel.Epoch() != 1 {
 		t.Fatalf("R holds %d tuples at epoch %d, want 2 at 1", rel.Len(), rel.Epoch())
 	}
-	ms := c.Members()
+	ms := c.LogStats()[0].Members
 	if ms[0].Err == nil || ms[1].Err != nil || !ms[1].Primary {
 		t.Fatalf("members after the miss = %+v, want 0 down and 1 primary", ms)
 	}
 	if c.Failovers() != 1 || c.Healthy() != nil {
 		t.Fatalf("failovers = %d, healthy = %v; want 1, nil", c.Failovers(), c.Healthy())
 	}
-	if err := c.ReopenMember(0, func() (storage.Backend, error) { return storage.OpenDurable(dirs[0], storage.Options{}) }); err != nil {
+	if err := c.ReopenMember(0, 0, func() (storage.Backend, error) { return storage.OpenDurable(dirs[0], storage.Options{}) }); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := c.Get("R"); got != rel {
 		t.Fatal("reopening a member changed which object R is")
 	}
-	if ms := c.Members(); ms[0].Err != nil || c.Primary() != 1 {
-		t.Fatalf("after reopen: members %+v, primary %d; want all live, 1 still primary", ms, c.Primary())
+	if ms := c.LogStats()[0].Members; ms[0].Err != nil || c.Primary(0) != 1 {
+		t.Fatalf("after reopen: members %+v, primary %d; want all live, 1 still primary", ms, c.Primary(0))
 	}
 	if _, err := c.Insert("R", []int{5, 6}); err != nil {
 		t.Fatal(err)
@@ -148,8 +148,8 @@ func TestMemberMissingRecordIsMarkedDown(t *testing.T) {
 	if _, err := c.Insert("R", []int{3, 4}); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("insert no member accepted = %v, want ErrReadOnly", err)
 	}
-	if rel.Len() != 1 || rel.Epoch() != 0 || c.Failovers() != 0 || c.Primary() != 0 {
-		t.Fatalf("after a refused record: %d tuples at epoch %d, %d failovers, primary %d", rel.Len(), rel.Epoch(), c.Failovers(), c.Primary())
+	if rel.Len() != 1 || rel.Epoch() != 0 || c.Failovers() != 0 || c.Primary(0) != 0 {
+		t.Fatalf("after a refused record: %d tuples at epoch %d, %d failovers, primary %d", rel.Len(), rel.Epoch(), c.Failovers(), c.Primary(0))
 	}
 	if c.Healthy() == nil {
 		t.Fatal("Healthy() = nil with every member poisoned")
@@ -180,7 +180,7 @@ func TestFaultSweepSecondMemberTakesOver(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if ms := c.Members(); ms[0].Err == nil || ms[1].Err != nil || c.Primary() != 1 {
+			if ms := c.LogStats()[0].Members; ms[0].Err == nil || ms[1].Err != nil || c.Primary(0) != 1 {
 				t.Fatalf("members after the fault = %+v", ms)
 			}
 			c.Close()

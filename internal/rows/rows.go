@@ -86,7 +86,7 @@ const radixBits = 11
 
 // Sort returns the validated (hence non-negative) rows in sorted order.
 // The argument is consumed: the result is flat itself — found sorted
-// already, as dumps, snapshots and shard fragments are — or one of the
+// already, as dumps, snapshots and shard-log buckets are — or one of the
 // two buffers, flat and a scratch copy, that a least-significant-digit
 // radix sort moves whole rows between: one stable counting pass per
 // digit a column's largest value needs, last column first, so the cost

@@ -12,7 +12,7 @@ import (
 
 // Kill-and-restart coverage for the per-shard WAL layout: a sharded
 // catalog abandoned mid-life (no Close, one shard's log torn mid-record)
-// must come back with every fragment at its exact pre-kill epoch, the
+// must come back with every shard log at its exact pre-kill epoch, the
 // routing table intact, and the same query answers.
 
 func openSharded(t *testing.T, dir string, n int) *Catalog {
@@ -24,17 +24,14 @@ func openSharded(t *testing.T, dir string, n int) *Catalog {
 	return c
 }
 
+// fragmentEpochs returns the epoch each shard's log replays its bucket
+// of name to.
 func fragmentEpochs(t *testing.T, c *Catalog, name string) []uint64 {
 	t.Helper()
-	out := make([]uint64, c.Shards())
-	for i := range out {
-		frag, ok := c.Fragment(i, name)
-		if !ok {
-			t.Fatalf("shard %d has no fragment of %s", i, name)
-		}
-		out[i] = frag.Epoch()
+	if _, ok := c.Get(name); !ok {
+		t.Fatalf("no relation %s", name)
 	}
-	return out
+	return c.Epochs(name)
 }
 
 func TestDurableRecoveryPerShard(t *testing.T) {

@@ -16,92 +16,128 @@ import (
 	"minesweeper/internal/storage"
 )
 
-// One shard is a parameter of the catalog, not another type: its single
-// fragment is served in place (no gathered copy), an upload is parsed
-// once, a leadership move changes which replica is primary but not
-// which relation objects are served, and a directory written by an
+// One shard is a parameter of the catalog, not another type: every
+// relation is one object in memory at any shard count, an upload is
+// parsed once, a leadership move changes which replica is primary but
+// not which relation objects are served, and a directory written by an
 // unsharded store opens as shard 0 / replica 0.
 
-// TestOneFragmentIsServedInPlace: with one shard Get returns the very
-// object Fragment(0, ·) does — after every kind of mutation and after
-// recovery — and a mutation is applied to it exactly once.
+// TestOneFragmentIsServedInPlace: a relation is one object in memory
+// whatever the shard count. Create returns it and Get keeps returning
+// it after every kind of mutation, a forced repartition and a replica
+// reopen; each mutation is applied to it once, and its epoch is the sum
+// of its shard logs' epochs. Recovery rebuilds exactly what was served.
 func TestOneFragmentIsServedInPlace(t *testing.T) {
 	for _, replicas := range []int{1, 2} {
 		for _, durable := range []bool{false, true} {
 			t.Run(fmt.Sprintf("r%d-durable=%v", replicas, durable), func(t *testing.T) {
-				dir := t.TempDir()
-				open := func() *Catalog {
-					if !durable {
-						return NewReplicated(1, replicas)
-					}
-					c, err := OpenReplicated(dir, 1, replicas, storage.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return c
-				}
-				inPlace := func(c *Catalog, when string, names ...string) {
-					t.Helper()
-					for _, name := range names {
-						whole, ok := c.Get(name)
-						frag, fok := c.Fragment(0, name)
-						if !ok || !fok || whole != frag {
-							t.Fatalf("after %s: Get(%q) = %p (%v), Fragment(0, %q) = %p (%v)", when, name, whole, ok, name, frag, fok)
-						}
-					}
-				}
-				c := open()
-				if _, err := c.Load(strings.NewReader("R: A B\n1 2\n2 3\n4 1\n"), "test"); err != nil {
-					t.Fatal(err)
-				}
-				inPlace(c, "Load", "R")
-				if rel, err := c.Create("S", []string{"B", "C"}, [][]int{{2, 5}, {3, 7}}); err != nil {
-					t.Fatal(err)
-				} else if frag, _ := c.Fragment(0, "S"); rel != frag {
-					t.Fatalf("Create returned %p, Fragment(0, S) = %p", rel, frag)
-				}
-				inPlace(c, "Create", "R", "S")
-
-				rel, _ := c.Get("R")
-				before := rel.Epoch()
-				info, err := c.Insert("R", []int{9, 2}, []int{8, 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rel.Epoch() != before+1 || info.Epoch != before+1 || info.Tuples != 5 {
-					t.Fatalf("Insert: epoch %d -> %d, info %+v; want one bump and 5 tuples", before, rel.Epoch(), info)
-				}
-				inPlace(c, "Insert", "R", "S")
-				if n, info, err := c.Delete("R", []int{9, 2}, []int{7, 7}); err != nil || n != 1 || info.Tuples != 4 {
-					t.Fatalf("Delete = %d, %+v, %v; want 1 row gone, 4 left", n, info, err)
-				}
-				if info, err := c.Replace("S", [][]int{{2, 6}}); err != nil || info.Tuples != 1 {
-					t.Fatalf("Replace = %+v, %v", info, err)
-				}
-				inPlace(c, "Replace", "R", "S")
-				if got, _ := c.Get("R"); got != rel {
-					t.Fatal("mutations changed which object R is")
-				}
-				if parts := mustPrepare(t, c, "R(A,B), S(B,C)").Explain().Partitions; len(parts) != 0 {
-					t.Fatalf("Explain.Partitions = %v at one shard, want none", parts)
-				}
-
-				if !durable {
-					return
-				}
-				want := c.Relations()
-				if err := c.Close(); err != nil {
-					t.Fatal(err)
-				}
-				c2 := open()
-				defer c2.Close()
-				inPlace(c2, "recovery", "R", "S")
-				if got := c2.Relations(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("recovered relations %+v, want %+v", got, want)
+				for _, shards := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+						checkServedInPlace(t, shards, replicas, durable)
+					})
 				}
 			})
 		}
 	}
+}
+
+func checkServedInPlace(t *testing.T, shards, replicas int, durable bool) {
+	dir := t.TempDir()
+	open := func() *Catalog {
+		if !durable {
+			return NewReplicated(shards, replicas)
+		}
+		c, err := OpenReplicated(dir, shards, replicas, storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// epochsAdd checks that every relation's epoch is the sum of its
+	// shard logs' epochs.
+	epochsAdd := func(c *Catalog, when string) {
+		t.Helper()
+		for _, info := range c.Relations() {
+			var sum uint64
+			for _, e := range c.Epochs(info.Name) {
+				sum += e
+			}
+			if info.Epoch != sum {
+				t.Fatalf("after %s: %s is at epoch %d, its shard logs at %v", when, info.Name, info.Epoch, c.Epochs(info.Name))
+			}
+		}
+	}
+	served := map[string]*minesweeper.Relation{}
+	inPlace := func(c *Catalog, when string) {
+		t.Helper()
+		for name, rel := range served {
+			if got, ok := c.Get(name); !ok || got != rel {
+				t.Fatalf("after %s: Get(%q) = %p (%v), was %p", when, name, got, ok, rel)
+			}
+		}
+		epochsAdd(c, when)
+	}
+	c := open()
+	if _, err := c.Load(strings.NewReader("R: A B\n1 2\n2 3\n4 1\n"), "test"); err != nil {
+		t.Fatal(err)
+	}
+	served["R"], _ = c.Get("R")
+	inPlace(c, "Load")
+	rel, err := c.Create("S", []string{"B", "C"}, [][]int{{2, 5}, {3, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served["S"] = rel
+	inPlace(c, "Create")
+
+	rel = served["R"]
+	before := rel.Epoch()
+	info, err := c.Insert("R", []int{9, 2}, []int{8, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Epoch() != info.Epoch || info.Epoch <= before || (shards == 1 && info.Epoch != before+1) || info.Tuples != 5 {
+		t.Fatalf("Insert: epoch %d -> %d, info %+v; want a bump and 5 tuples", before, rel.Epoch(), info)
+	}
+	inPlace(c, "Insert")
+	if n, info, err := c.Delete("R", []int{9, 2}, []int{7, 7}); err != nil || n != 1 || info.Tuples != 4 {
+		t.Fatalf("Delete = %d, %+v, %v; want 1 row gone, 4 left", n, info, err)
+	}
+	inPlace(c, "Delete")
+	if info, err := c.Replace("S", [][]int{{2, 6}}); err != nil || info.Tuples != 1 {
+		t.Fatalf("Replace = %+v, %v", info, err)
+	}
+	inPlace(c, "Replace")
+	if err := c.ForcePartition("R", Partition{Column: 1, Attr: "B", Mode: ModeHash}); err != nil {
+		t.Fatal(err)
+	}
+	inPlace(c, "ForcePartition")
+	if err := c.ReopenReplica(0, 0, func() (storage.Backend, error) {
+		if !durable {
+			return storage.NewMem(), nil
+		}
+		return storage.OpenDurable(ReplicaDir(dir, 0, 0), storage.Options{})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inPlace(c, "ReopenReplica")
+	if parts := mustPrepare(t, c, "R(A,B), S(B,C)").Explain().Partitions; shards == 1 && len(parts) != 0 {
+		t.Fatalf("Explain.Partitions = %v at one shard, want none", parts)
+	}
+
+	if !durable {
+		return
+	}
+	want := c.Relations()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2 := open()
+	defer c2.Close()
+	if got := c2.Relations(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered relations %+v, want %+v", got, want)
+	}
+	epochsAdd(c2, "recovery")
 }
 
 func mustPrepare(t *testing.T, c *Catalog, expr string) *Prepared {
@@ -155,8 +191,8 @@ func streamOf(t *testing.T, p *Prepared) string {
 	return ndjson(t, res.Vars, res.Tuples)
 }
 
-// TestLeadershipMoveKeepsRelations: with one shard the whole relation
-// is the shard's one in-memory fragment, whichever replica is primary.
+// TestLeadershipMoveKeepsRelations: with one shard the relation is the
+// one in-memory object, whichever replica is primary.
 // A failover and a reopen of the old primary leave Get returning the
 // very same *Relation, and a query prepared — or merely parsed — before
 // the moves keeps streaming exactly what an unsharded catalog holding
@@ -249,7 +285,7 @@ func TestLeadershipMoveKeepsRelations(t *testing.T) {
 		if got, w := streamOf(t, late), want(refPrepare()); got != w {
 			t.Fatalf("%s: query parsed before the move diverges from the reference", when)
 		}
-		if rels := p.Relations(); len(rels) != 2 || rels[0] != minesweeper.Fragment(whole) {
+		if rels := p.Relations(); len(rels) != 2 || rels[0] != whole {
 			t.Fatalf("%s: plan is bound to %v, want the current R first", when, rels)
 		}
 	}
@@ -293,7 +329,7 @@ func TestLeadershipMoveKeepsRelations(t *testing.T) {
 	if err := p.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if cur, _ := c.Get("S"); p.Relations()[1] == minesweeper.Fragment(cur) {
+	if cur, _ := c.Get("S"); p.Relations()[1] == cur {
 		t.Fatal("plan followed S across a drop and re-create")
 	}
 }

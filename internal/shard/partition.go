@@ -1,17 +1,19 @@
-// Package shard splits data ownership from probe execution: it
-// partitions catalog relations into N fragments — each with its own
-// mutation epoch and WAL directory, logged to R replicas — and keeps
-// every relation whole for reads. A query runs once, over the whole
-// relations, exactly as unsharded; a range partition on the leading GAO
-// attribute only hands its split points to the run as morsel boundaries
-// (engine.Parallel), so each shard's range is evaluated by morsels of
-// its own over the one index, with no per-shard query or merge.
+// Package shard divides data ownership from probe execution. Its
+// Catalog holds every relation once in memory (a catalog.Catalog) and
+// logs it to N logs — one per shard, each with its own WAL directories,
+// kept on R replicas. A relation's Partition decides only which shard's
+// log a row's record goes to: no per-shard copy of a relation exists.
+// A query runs once, over the relations, exactly as unsharded; a
+// range partition on the leading GAO attribute only hands its split
+// points to the run as morsel boundaries (engine.Parallel), so each
+// shard's range is evaluated by morsels of its own over the one index,
+// with no per-shard query or merge.
 //
 // The partitioning invariant is purely content-based: every stored
-// copy of a tuple lives in exactly the shard its partition-column value
-// routes to, so identical rows always colocate, recovery rebuilds a
-// whole relation as the union of its fragments, and a range
-// partition's shards are exactly the value ranges its splits cut.
+// copy of a tuple is logged to exactly the shard its partition-column
+// value routes to, so identical rows always colocate, recovery rebuilds
+// a relation as the union of its shards' logs, and a range partition's
+// shards are exactly the value ranges its splits cut.
 package shard
 
 import (
@@ -33,13 +35,13 @@ type Partition struct {
 	Splits []int  `json:"splits,omitempty"`
 }
 
-// check reports whether p can route the tuples of an arity-column
+// Check reports whether p can route the tuples of an arity-column
 // relation over shards shards: the column in range, a known mode, and
 // at most shards-1 strictly increasing splits. Routing indexes tuples
 // by the column and buckets by the split count, and the splits are
 // morsel boundaries of sliced runs, so every partition that enters the
 // catalog — forced, or read back from a manifest — passes this first.
-func (p Partition) check(arity, shards int) error {
+func (p Partition) Check(arity, shards int) error {
 	if p.Column < 0 || p.Column >= arity {
 		return fmt.Errorf("shard: partition column %d out of range for arity %d", p.Column, arity)
 	}
@@ -142,13 +144,23 @@ func quantileSplits(tuples [][]int, col, shards int) []int {
 	return splits
 }
 
-// split routes a tuple batch into per-shard buckets; a single bucket is
-// the batch itself, row headers uncopied.
-func (p Partition) split(tuples [][]int, shards int) [][][]int {
+// Split routes a tuple batch into per-shard buckets; a single bucket is
+// the batch itself, row headers uncopied. It makes a Partition the
+// catalog.Layout of its relation. The buckets are counted first and
+// carved from one array, so a batch costs three allocations at any
+// size and shard count.
+func (p Partition) Split(tuples [][]int, shards int) [][][]int {
 	if shards <= 1 {
 		return [][][]int{tuples}
 	}
-	buckets := make([][][]int, shards)
+	counts := make([]int, shards)
+	for _, tup := range tuples {
+		counts[p.Route(tup[p.Column], shards)]++
+	}
+	buckets, rows := make([][][]int, shards), make([][]int, len(tuples))
+	for s, n := range counts {
+		buckets[s], rows = rows[:0:n], rows[n:]
+	}
 	for _, tup := range tuples {
 		s := p.Route(tup[p.Column], shards)
 		buckets[s] = append(buckets[s], tup)

@@ -79,7 +79,7 @@ func TestRecoveryRepartitionsBadManifestEntry(t *testing.T) {
 
 		c2 := openSharded(t, dir, 2)
 		p, ok := c2.PartitionOf("R")
-		if !ok || p.check(2, 2) != nil {
+		if !ok || p.Check(2, 2) != nil {
 			t.Fatalf("manifest entry %+v: recovered partition %+v (ok=%v) fails the check", bad, p, ok)
 		}
 		if _, err := c2.Insert("R", []int{500, 1}); err != nil {

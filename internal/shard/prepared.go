@@ -5,11 +5,12 @@ import (
 	"fmt"
 
 	minesweeper "minesweeper"
+	"minesweeper/internal/catalog"
 	"minesweeper/internal/engine"
 )
 
 // Prepared is the catalog's counterpart of minesweeper.PreparedQuery:
-// one prepared query over the whole relations, run exactly as unsharded
+// one prepared query over the relations, run exactly as unsharded
 // — so its stream is byte-identical to an unsharded run — with one
 // addition. When an atom is bound to a range-partitioned relation whose
 // partition column carries the leading GAO attribute, the partition's
@@ -51,16 +52,15 @@ func (c *Catalog) Prepare(q *minesweeper.Query, opts *minesweeper.Options) (*Pre
 // since is not followed to a re-creation under its name.
 func (p *Prepared) Refresh() error { return p.full.Refresh() }
 
-// slicingLocked decides how a run under gao reads the relations: the
+// slicing decides how a run under gao reads the relations: the
 // Explain.Partitions annotation and the split points the run cuts at.
 // One shard needs no annotation. Otherwise a run is sliced when an atom
-// is bound to a whole relation of this catalog that is range-
-// partitioned on the column carrying gao[0]; with several candidates
-// the largest relation wins. Anything else — a hash partition, whose
-// buckets are not ranges of the cut attribute, a permuted domain, a
-// materializing engine — runs unsliced and says "gathered". Callers
-// hold p.cat.mu.
-func (p *Prepared) slicingLocked(gao []string) (partitions []string, splits []int) {
+// is bound to a relation of this catalog that is range-partitioned on
+// the column carrying gao[0]; with several candidates the largest
+// relation wins. Anything else — a hash partition, whose buckets are
+// not ranges of the cut attribute, a permuted domain, a materializing
+// engine — runs unsliced and says "gathered".
+func (p *Prepared) slicing(v catalog.View, gao []string) (partitions []string, splits []int) {
 	if p.cat.n <= 1 {
 		return nil, nil
 	}
@@ -70,11 +70,11 @@ func (p *Prepared) slicingLocked(gao []string) (partitions []string, splits []in
 	atoms := p.q.Atoms()
 	slice, part := -1, Partition{}
 	for i, a := range atoms {
-		rel, ok := p.cat.whole().Get(a.Rel.Name())
-		if !ok || minesweeper.Fragment(rel) != a.Rel {
+		rel, l, _ := v.Get(a.Rel.Name())
+		pt, ok := l.(Partition)
+		if rel != a.Rel {
 			continue // not this catalog's relation (or a stale binding)
 		}
-		pt, ok := p.cat.parts[a.Rel.Name()]
 		if !ok || pt.Mode != ModeRange || pt.Column >= len(a.Vars) || a.Vars[pt.Column] != gao[0] {
 			continue
 		}
@@ -97,14 +97,12 @@ func (p *Prepared) Engine() minesweeper.Engine { return p.full.Engine() }
 // Relations returns the relation objects the plan is bound to: the
 // catalog's current ones unless a relation was dropped (or dropped and
 // re-created) since the query was built.
-func (p *Prepared) Relations() []minesweeper.Fragment { return p.q.Relations() }
+func (p *Prepared) Relations() []*minesweeper.Relation { return p.q.Relations() }
 
 // Explain returns the current plan annotated with the slicing decision.
 func (p *Prepared) Explain() minesweeper.Explain {
 	ex := p.full.Explain()
-	p.cat.mu.Lock()
-	ex.Partitions, _ = p.slicingLocked(ex.GAO)
-	p.cat.mu.Unlock()
+	p.cat.Pin(func(v catalog.View) { ex.Partitions, _ = p.slicing(v, ex.GAO) })
 	return ex
 }
 
@@ -127,29 +125,29 @@ func (p *Prepared) Execute() (*minesweeper.Result, error) {
 // prefixes behave the same.
 //
 // A run reads one mutation-consistent cut: its plan state and slicing
-// decision are pinned under the catalog mutex, which every mutation
-// holds across all the fragments and the gathered copy it touches, so
-// the stream is exactly that of one state the catalog passed through.
-// A re-plan after a mutation is done before taking the mutex, so
+// decision are pinned while no mutation can land (catalog.Catalog.Pin),
+// so the stream is exactly that of one state the catalog passed
+// through. A re-plan after a mutation is done before pinning, so
 // writers rarely wait for one.
 func (p *Prepared) StreamContextExplained(ctx context.Context, plan func(minesweeper.Explain), yield func([]int) bool) (minesweeper.Stats, error) {
 	if err := p.full.Refresh(); err != nil {
 		return minesweeper.Stats{}, err
 	}
-	p.cat.mu.Lock()
 	var run func(context.Context, func(minesweeper.Explain), func([]int) bool) (minesweeper.Stats, error)
-	var partitions []string
-	err := p.full.Refresh() // a mutation may have landed since: GAO and pin must agree
-	if err == nil {
+	var pinned []string
+	var err error
+	p.cat.Pin(func(v catalog.View) {
+		if err = p.full.Refresh(); err != nil { // a mutation may have landed since: GAO and pin must agree
+			return
+		}
 		var splits []int
-		partitions, splits = p.slicingLocked(p.full.GAO())
+		pinned, splits = p.slicing(v, p.full.GAO())
 		run, err = p.full.Pin(splits)
-	}
-	p.cat.mu.Unlock()
+	})
 	if err != nil {
 		return minesweeper.Stats{}, err
 	}
-	if plan != nil && partitions != nil {
+	if partitions := pinned; plan != nil && partitions != nil {
 		inner := plan
 		plan = func(ex minesweeper.Explain) {
 			ex.Partitions = partitions

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"minesweeper/internal/catalog"
@@ -15,7 +14,7 @@ import (
 // manifestName is the routing manifest at the data-dir root. The
 // manifest is authoritative for how stored tuples were physically
 // routed: re-deriving a partition from statistics after recovery could
-// disagree with the placement the fragments actually hold, which would
+// disagree with the placement the shard logs actually hold, which would
 // silently break the colocation invariant recovery and sliced runs need.
 const manifestName = "shards.json"
 
@@ -42,17 +41,17 @@ func ReplicaDir(dir string, shard, replica int) string {
 
 // OpenReplicated recovers a sharded catalog from dir with R replicas
 // per shard: each replica replays its own WAL+snapshot under
-// shard-<i>/replica-<j>/, each shard's catalog is built once from its
-// furthest-along replica (restoring exact per-fragment epochs) and
-// compacts that state into any replica that lags it (catalog.Open), the
-// gathered copy (if any) is rebuilt from the fragments, and routing
-// comes from the manifest. Relations missing a manifest entry (a crash
-// between fragment writes and the manifest write) are deterministically
-// repartitioned and redistributed. Opening a directory laid out for a
-// different shard count is refused — re-routing existing placements
-// across a new count is a data migration, not a recovery. A different
-// replica count is fine: new replica directories start empty and are
-// brought in sync at open.
+// shard-<i>/replica-<j>/, each shard's log is recovered from its
+// furthest-along replica, which is compacted into any replica that lags
+// it, every relation is built once as the union of the shards' buckets
+// at the sum of their epochs (catalog.OpenLogs), and routing comes from
+// the manifest. Relations missing a manifest entry (a crash between log
+// writes and the manifest write, or a rewrite that reached only some
+// shards) are deterministically repartitioned: every shard's log gets
+// its bucket. Opening a directory laid out for a different shard count
+// is refused — re-routing existing placements across a new count is a
+// data migration, not a recovery. A different replica count is fine:
+// new replica directories start empty and are brought in sync at open.
 // Logs written under an older layout — at the data-dir root by an
 // unsharded store, or directly under shard-<i>/ before replication —
 // are moved into place first, so no directory opens silently empty.
@@ -93,32 +92,31 @@ func OpenWith(dir string, shards, replicas int, backend func(shard, replica int)
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
-	c := newCatalog(shards, replicas, dir)
-	for i := range c.shards {
-		members := make([]storage.Backend, 0, c.r)
-		fail := func(err error) (*Catalog, error) {
+	replicas = max(replicas, 1)
+	logs := make([][]storage.Backend, shards)
+	fail := func(err error) (*Catalog, error) {
+		for _, members := range logs {
 			for _, b := range members {
 				b.Close()
 			}
-			c.Close()
-			return nil, err
 		}
-		for j := 0; j < c.r; j++ {
+		return nil, err
+	}
+	for i := range logs {
+		for j := 0; j < replicas; j++ {
 			b, err := backend(i, j)
 			if err != nil {
 				return fail(fmt.Errorf("shard %d replica %d: %w", i, j, err))
 			}
-			members = append(members, b)
+			logs[i] = append(logs[i], b)
 		}
-		cat, err := catalog.Open(members...)
-		if err != nil {
-			return fail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		c.shards[i] = cat
 	}
-	if err := c.recover(m); err != nil {
-		c.Close()
-		return nil, err
+	if m == nil {
+		m = &manifest{}
+	}
+	c, err := open(shards, replicas, dir, m.Relations, logs)
+	if err != nil {
+		return fail(err)
 	}
 	return c, nil
 }
@@ -169,81 +167,38 @@ func migrateLegacyLogs(from, to string) error {
 	return nil
 }
 
-// recover rebuilds the gathered copy and routing table from the
-// fragments plus the manifest.
-func (c *Catalog) recover(m *manifest) error {
-	names := map[string]bool{}
-	for _, cc := range c.shards {
-		for _, n := range cc.Names() {
-			names[n] = true
-		}
-	}
-	sorted := make([]string, 0, len(names))
-	for n := range names {
-		sorted = append(sorted, n)
-	}
-	sort.Strings(sorted)
-	for _, name := range sorted {
-		p, routed := Partition{}, false
-		if m != nil {
-			p, routed = m.Relations[name]
-		}
-		if c.view == nil {
-			// One shard: a gather of one fragment is that fragment, so
-			// nothing is copied, and one bucket holds every row colocated
-			// under any partition, so nothing is redistributed either.
-			if vars, _ := c.shards[0].Vars(name); !routed || p.check(len(vars), c.n) != nil {
-				p = choosePartition(vars, nil, c.n)
-			}
-			c.parts[name] = p
-			continue
-		}
-		vars, gathered, epochSum := c.gatherLocked(name)
-		rel, err := c.view.Create(name, vars, gathered)
-		if err != nil {
-			return fmt.Errorf("shard: gathering relation %q: %w", name, err)
-		}
-		if err := rel.RestoreEpoch(epochSum); err != nil {
-			return fmt.Errorf("shard: gathering relation %q: %w", name, err)
-		}
-		if !routed || p.check(len(vars), c.n) != nil {
-			// No (usable) manifest entry: repartition deterministically and
-			// redistribute the gathered tuples so the colocation invariant
-			// holds again.
-			p = choosePartition(vars, gathered, c.n)
-			if err := c.redistribute(name, vars, gathered, p); err != nil {
-				return fmt.Errorf("shard: repartitioning relation %q: %w", name, err)
-			}
-		}
-		c.parts[name] = p
-	}
-	return c.writeManifest()
+// router is a shard catalog's catalog.Router: it routes by Partition,
+// gives recovered relations their partitions from the manifest, and
+// persists every change to them in it.
+type router struct {
+	shards, replicas int
+	dir              string // "" for in-memory: nothing is persisted
+	recovered        map[string]Partition
 }
 
-// redistribute replaces every shard's fragment of name with its bucket
-// under p, creating the relation where it is missing. Recovery only.
-func (c *Catalog) redistribute(name string, vars []string, tuples [][]int, p Partition) error {
-	buckets := p.split(tuples, c.n)
-	for i, cc := range c.shards {
-		if _, err := cc.CreateOrReplace(name, vars, buckets[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+func (r *router) Choose(vars []string, tuples [][]int) catalog.Layout {
+	return choosePartition(vars, tuples, r.shards)
 }
 
-// writeManifest persists the routing table atomically (temp + rename).
-// In-memory catalogs skip it.
-func (c *Catalog) writeManifest() error {
-	if c.dir == "" {
+func (r *router) Recovered(name string) (catalog.Layout, bool) {
+	p, ok := r.recovered[name]
+	return p, ok
+}
+
+// Save writes the manifest atomically (temp + rename).
+func (r *router) Save(layouts map[string]catalog.Layout) error {
+	if r.dir == "" {
 		return nil
 	}
-	m := manifest{Shards: c.n, Replicas: c.r, Relations: c.parts}
+	m := manifest{Shards: r.shards, Replicas: r.replicas, Relations: make(map[string]Partition, len(layouts))}
+	for name, l := range layouts {
+		m.Relations[name] = l.(Partition)
+	}
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(c.dir, manifestName)
+	path := filepath.Join(r.dir, manifestName)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err

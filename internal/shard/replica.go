@@ -13,32 +13,11 @@ type ReplicaRef struct {
 	Err     string `json:"error"`
 }
 
-// Primary returns the shard's primary replica: the one whose storage
-// counters the shard reports.
-func (c *Catalog) Primary(shard int) int { return c.shards[shard].Primary() }
-
-// Failovers returns how many times a shard's primary moved off a failed
-// replica, summed over the shards.
-func (c *Catalog) Failovers() int64 {
-	var n int64
-	for _, cc := range c.shards {
-		n += cc.Failovers()
-	}
-	return n
-}
-
 // Degraded reports the first shard with no healthy replica, if any:
 // with replication a single dead replica is survivable (its siblings
 // keep taking records), so only a fully dead shard makes the store
 // read-only and /readyz unready.
-func (c *Catalog) Degraded() error {
-	for i := range c.shards {
-		if err := c.degraded(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func (c *Catalog) Degraded() error { return c.Healthy() }
 
 // DownReplicas lists every replica currently unable to take records —
 // marked down for missing a record its siblings accepted, or with a
@@ -46,8 +25,8 @@ func (c *Catalog) Degraded() error {
 // schedules.
 func (c *Catalog) DownReplicas() []ReplicaRef {
 	var out []ReplicaRef
-	for i, cc := range c.shards {
-		for j, m := range cc.Members() {
+	for i, l := range c.LogStats() {
+		for j, m := range l.Members {
 			if m.Err != nil {
 				out = append(out, ReplicaRef{Shard: i, Replica: j, Err: m.Err.Error()})
 			}
@@ -57,15 +36,12 @@ func (c *Catalog) DownReplicas() []ReplicaRef {
 }
 
 // ReopenReplica restarts one replica on a fresh backend from open and
-// compacts the shard's in-memory state into it (catalog.ReopenMember),
-// so it rejoins in sync. Mutations of the shard pause meanwhile; runs
-// in flight keep the relation and fragment objects they bound, which
+// compacts the shard log's state, rendered from memory, into it
+// (catalog.Catalog.ReopenMember), so it rejoins in sync. Mutations pause
+// meanwhile; runs in flight keep the relation objects they bound, which
 // the reopen does not touch.
 func (c *Catalog) ReopenReplica(i, j int, open func() (storage.Backend, error)) error {
-	if i < 0 || i >= c.n {
-		return fmt.Errorf("shard: no replica %d/%d", i, j)
-	}
-	if err := c.shards[i].ReopenMember(j, open); err != nil {
+	if err := c.ReopenMember(i, j, open); err != nil {
 		return fmt.Errorf("shard %d replica %d: reopen: %w", i, j, err)
 	}
 	return nil

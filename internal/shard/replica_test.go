@@ -18,8 +18,8 @@ import (
 // never degrades the catalog, a pre-replication shard layout migrates
 // in place, and a replica costs a log, not a copy.
 
-// fragmentState is one fragment as the durable-replica check compares
-// it: its epoch and its (sorted) tuples.
+// fragmentState is one shard log's bucket of a relation as the
+// durable-replica check compares it: its epoch and its (sorted) tuples.
 type fragmentState struct {
 	epoch  uint64
 	tuples [][]int
@@ -39,14 +39,25 @@ func fragmentStates(cc *catalog.Catalog) map[string]fragmentState {
 }
 
 // checkReplicasDurable closes c and opens every replica directory
-// alone, checking that each holds exactly what its shard serves: the
-// same relations at the same epochs with the same tuples. It checks
-// what is durable, not a copy in memory.
+// alone, checking that each holds exactly its shard's bucket of what the
+// catalog serves: the same relations at the shard log's epochs with the
+// bucket's tuples. It checks what is durable, not a copy in memory.
 func checkReplicasDurable(t *testing.T, c *Catalog, dir string) {
 	t.Helper()
 	served := make([]map[string]fragmentState, c.Shards())
-	for i, cc := range c.shards {
-		served[i] = fragmentStates(cc)
+	for i := range served {
+		served[i] = map[string]fragmentState{}
+	}
+	for _, name := range c.Names() {
+		rel, _ := c.Get(name)
+		p, _ := c.PartitionOf(name)
+		buckets, epochs := p.Split(rel.Tuples(), c.Shards()), c.Epochs(name)
+		for i, ts := range buckets {
+			if len(ts) == 0 {
+				ts = nil
+			}
+			served[i][name] = fragmentState{epochs[i], ts}
+		}
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -168,7 +179,7 @@ func TestPrimaryFailover(t *testing.T) {
 	}
 
 	// ReopenReplica brings the dead replica back in sync: its log then
-	// holds every fragment at the served epoch, as the surviving one's
+	// holds every bucket at the served epoch, as the surviving one's
 	// does.
 	if err := c.ReopenReplica(0, 0, func() (storage.Backend, error) {
 		return storage.OpenDurable(ReplicaDir(dir, 0, 0), storage.Options{})
@@ -210,7 +221,7 @@ func TestFailoverExhaustion(t *testing.T) {
 	if c.Degraded() == nil {
 		t.Fatal("Degraded() = nil with every replica down")
 	}
-	// Reads still serve from the in-memory fragments.
+	// Reads still serve from the in-memory relations.
 	if _, ok := c.Get("R"); !ok {
 		t.Fatal("gathered view lost R after exhaustion")
 	}

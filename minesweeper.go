@@ -61,13 +61,8 @@ type Stats = certificate.Stats
 // the engines skip the unselected region instead of filtering after the
 // join. Constants never join across atoms and do not appear in
 // Query.Vars or the output.
-//
-// Rel is a Fragment, not necessarily a *Relation: the execution
-// pipeline only needs the read-side data-access interface, which is
-// what lets internal/shard substitute partition-owned fragments for
-// catalog relations without the query layer noticing.
 type Atom struct {
-	Rel  Fragment
+	Rel  *Relation
 	Vars []string
 }
 
@@ -228,18 +223,31 @@ func (q *Query) extendGAO(gao []string) []string {
 	return append(ext, gao...)
 }
 
-// Relations returns the distinct data fragments the query binds, in
-// order of first appearance (self-joins contribute one entry).
-// Long-lived callers use this to check that the fragments a query was
-// built over are still the ones a catalog serves under those names.
-func (q *Query) Relations() []Fragment {
-	seen := map[Fragment]bool{}
-	var out []Fragment
+// Relations returns the distinct relations the query binds, in order of
+// first appearance (self-joins contribute one entry). Long-lived
+// callers use this to check that the relations a query was built over
+// are still the ones a catalog serves under those names.
+func (q *Query) Relations() []*Relation {
+	seen := map[*Relation]bool{}
+	var out []*Relation
 	for _, a := range q.atoms {
 		if !seen[a.Rel] {
 			seen[a.Rel] = true
 			out = append(out, a.Rel)
 		}
+	}
+	return out
+}
+
+// Atoms returns a copy of the query's atoms as validated: constant
+// columns appear rewritten to their hidden attribute names (which start
+// with '#', so they can never collide with query variables). The shard
+// layer inspects these bindings to find an atom whose partition column
+// is bound to the leading GAO attribute.
+func (q *Query) Atoms() []Atom {
+	out := make([]Atom, len(q.atoms))
+	for i, a := range q.atoms {
+		out[i] = Atom{Rel: a.Rel, Vars: append([]string(nil), a.Vars...)}
 	}
 	return out
 }

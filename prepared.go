@@ -311,8 +311,8 @@ func (q *Query) bind(gao []string, bounds []core.Bound, debug bool, encode, freq
 			Positions: positions,
 		}
 	}
-	byRel := map[Fragment][]int{}
-	var order []Fragment
+	byRel := map[*Relation][]int{}
+	var order []*Relation
 	for i, a := range q.atoms {
 		if _, seen := byRel[a.Rel]; !seen {
 			order = append(order, a.Rel)
@@ -353,7 +353,7 @@ func (q *Query) bind(gao []string, bounds []core.Bound, debug bool, encode, freq
 	// cache — the warm zero-rebuild path — which also means a relation
 	// must take one path for ALL its atoms (mixing fetches could bind a
 	// self-join across two epochs).
-	relEncoded := map[Fragment]bool{}
+	relEncoded := map[*Relation]bool{}
 	for i, a := range q.atoms {
 		for _, gp := range atoms[i].Positions {
 			if encode[gp] {
@@ -362,7 +362,7 @@ func (q *Query) bind(gao []string, bounds []core.Bound, debug bool, encode, freq
 			}
 		}
 	}
-	relTuples := map[Fragment][][]int{}
+	relTuples := map[*Relation][][]int{}
 	for _, rel := range order {
 		idxs := byRel[rel]
 		if !relEncoded[rel] {
@@ -403,7 +403,7 @@ func (q *Query) bind(gao []string, bounds []core.Bound, debug bool, encode, freq
 			}
 		}
 	}
-	unchanged := map[Fragment]bool{}
+	unchanged := map[*Relation]bool{}
 	if reuse {
 		for _, rel := range order {
 			ok := true

@@ -164,8 +164,7 @@ func (r *Relation) Tuples() [][]int {
 }
 
 // SnapshotTuples returns the stored tuples (see Tuples) together with
-// the epoch they reflect, under one lock acquisition. Part of the
-// Fragment interface.
+// the epoch they reflect, under one lock acquisition.
 func (r *Relation) SnapshotTuples() ([][]int, uint64) {
 	r.mu.Lock()
 	store, epoch := r.store, r.epoch
@@ -179,8 +178,7 @@ func (r *Relation) SnapshotTuples() ([][]int, uint64) {
 // have overtaken is brought up to date by merging the batches it missed.
 // All trees are fetched under a single lock acquisition, so every atom
 // of a query that binds this relation sees one consistent version even
-// while mutations race with the binding (no torn self-joins). Part of
-// the Fragment interface.
+// while mutations race with the binding (no torn self-joins).
 func (r *Relation) IndexesFor(perms [][]int) ([]*reltree.Tree, uint64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -279,8 +277,7 @@ func (r *Relation) CachedIndexes() int {
 // sorting: column 0 is read off the sorted store and every other column
 // off its merge-maintained sorted value array. The result is exactly
 // planner.Collect of the stored tuples. The planner tolerates slightly
-// stale statistics (they steer order choice, not correctness). Part of
-// the Fragment interface.
+// stale statistics (they steer order choice, not correctness).
 func (r *Relation) ColStats() *planner.RelStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -374,9 +371,23 @@ func (r *Relation) Insert(tuples ...[]int) error {
 // When at least one row is removed the relation's epoch is bumped. Same
 // cost as Insert.
 func (r *Relation) Delete(tuples ...[]int) (int, error) {
+	removed, err := r.remove(tuples)
+	return len(removed) / r.arity, err
+}
+
+// DeleteRows is Delete reporting the removed rows themselves, every
+// stored copy in sorted order (the rows are the caller's), so a caller
+// that routes rows by value can tell where the removals fell.
+func (r *Relation) DeleteRows(tuples ...[]int) ([][]int, error) {
+	removed, err := r.remove(tuples)
+	return rows.Views(removed, r.arity), err
+}
+
+// remove is Delete returning the removed rows flat.
+func (r *Relation) remove(tuples [][]int) ([]int, error) {
 	sorted, err := r.sorted(tuples)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -384,7 +395,7 @@ func (r *Relation) Delete(tuples ...[]int) (int, error) {
 	if len(removed) > 0 {
 		r.apply(kept, batch{rows: sorted, del: true}, removed)
 	}
-	return len(removed) / r.arity, nil
+	return removed, nil
 }
 
 // Replace swaps the relation's contents for the given tuples (validated
