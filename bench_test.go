@@ -12,7 +12,6 @@ package minesweeper
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"minesweeper/internal/baseline"
@@ -50,45 +49,6 @@ func BenchmarkAppendixJYannakakis(b *testing.B) {
 		_, err := baseline.Yannakakis(gao, atoms, nil)
 		return err
 	})
-}
-
-// --- E4: Appendix H set intersection -----------------------------------
-
-// BenchmarkIntersectCrossover sweeps the max/min set-size ratio across
-// the adaptive switch point, running both strategies at every ratio.
-// This is the measurement behind core's mergeCrossoverRatio: merge wins
-// on balanced inputs, the interval-list CDS on skewed ones.
-func BenchmarkIntersectCrossover(b *testing.B) {
-	const base = 40000
-	for _, ratio := range []int{1, 4, 8, 32, 128} {
-		sets := dataset.BlockSets(3, base)
-		small := make([]int, 0, base/ratio)
-		for i := 0; i < len(sets[0]); i += ratio {
-			small = append(small, sets[0][i])
-		}
-		skewed := append([][]int{small}, sets[1:]...)
-		b.Run(fmt.Sprintf("ratio=%d/cds", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.IntersectSets(skewed, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("ratio=%d/merge", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.IntersectSetsMerge(skewed, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("ratio=%d/adaptive", ratio), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.IntersectSetsAdaptive(skewed, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- E6: Theorem 5.4 triangle ------------------------------------------

@@ -1,9 +1,9 @@
 // Package core implements the Minesweeper join algorithm of the paper:
 // the generic outer algorithm (Algorithm 2) driving the constraint data
-// structure, plus the specialized instantiations worked out in the
-// appendices — m-way set intersection (Algorithm 8, Appendix H), the
-// bow-tie query (Algorithm 9, Appendix I) and the triangle query with the
-// dyadic-tree CDS (Algorithm 10, Appendix L).
+// structure, plus the triangle query with the dyadic-tree CDS
+// (Algorithm 10, Appendix L). The appendices' other special cases, m-way
+// set intersection (Appendix H) and the bow-tie (Appendix I), are
+// β-acyclic queries the generic algorithm runs within their bounds.
 package core
 
 import (

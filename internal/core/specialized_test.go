@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -9,6 +10,51 @@ import (
 
 	"minesweeper/internal/certificate"
 )
+
+// The set intersection of Appendix H and the bow-tie of Appendix I are
+// β-acyclic queries, so the general engine evaluates them with the
+// special cases' probe bounds; these tests run it on their instances.
+
+// unaryAtom is the atom name(attr) over a set's values.
+func unaryAtom(name, attr string, vals []int) AtomSpec {
+	tuples := make([][]int, len(vals))
+	for i := range vals {
+		tuples[i] = vals[i : i+1]
+	}
+	return AtomSpec{Name: name, Attrs: []string{attr}, Tuples: tuples}
+}
+
+// intersectAll evaluates S1(A) ⋈ … ⋈ Sm(A) with the general engine.
+func intersectAll(sets [][]int, stats *certificate.Stats) ([]int, error) {
+	atoms := make([]AtomSpec, len(sets))
+	for i, s := range sets {
+		atoms[i] = unaryAtom(fmt.Sprintf("S%d", i+1), "A", s)
+	}
+	p, err := NewProblem([]string{"A"}, atoms)
+	if err != nil {
+		return nil, err
+	}
+	tuples, err := MinesweeperAll(p, stats)
+	var out []int
+	for _, t := range tuples {
+		out = append(out, t[0])
+	}
+	return out, err
+}
+
+// bowtieAll evaluates R(X) ⋈ S(X,Y) ⋈ T(Y) with the general engine
+// under the GAO [X Y].
+func bowtieAll(r []int, s [][]int, t []int, stats *certificate.Stats) ([][]int, error) {
+	p, err := NewProblem([]string{"X", "Y"}, []AtomSpec{
+		unaryAtom("R", "X", r),
+		{Name: "S", Attrs: []string{"X", "Y"}, Tuples: s},
+		unaryAtom("T", "Y", t),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return MinesweeperAll(p, stats)
+}
 
 func refIntersect(sets [][]int) []int {
 	if len(sets) == 0 {
@@ -34,7 +80,7 @@ func refIntersect(sets [][]int) []int {
 }
 
 func TestIntersectBasic(t *testing.T) {
-	got, err := IntersectSets([][]int{{1, 3, 5, 7}, {3, 4, 5}, {5, 3, 9}}, nil)
+	got, err := intersectAll([][]int{{1, 3, 5, 7}, {3, 4, 5}, {5, 3, 9}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +90,7 @@ func TestIntersectBasic(t *testing.T) {
 }
 
 func TestIntersectSingleSet(t *testing.T) {
-	got, err := IntersectSets([][]int{{4, 2, 2, 9}}, nil)
+	got, err := intersectAll([][]int{{4, 2, 2, 9}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,10 +100,10 @@ func TestIntersectSingleSet(t *testing.T) {
 }
 
 func TestIntersectEmptyArgs(t *testing.T) {
-	if _, err := IntersectSets(nil, nil); err == nil {
+	if _, err := intersectAll(nil, nil); err == nil {
 		t.Fatal("no sets must error")
 	}
-	got, err := IntersectSets([][]int{{1, 2}, {}}, nil)
+	got, err := intersectAll([][]int{{1, 2}, {}}, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -74,7 +120,7 @@ func TestIntersectRandom(t *testing.T) {
 				sets[i] = append(sets[i], rng.Intn(20))
 			}
 		}
-		got, err := IntersectSets(sets, nil)
+		got, err := intersectAll(sets, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +145,7 @@ func TestIntersectAdaptivity(t *testing.T) {
 		s2[i] = n + i
 	}
 	var stats certificate.Stats
-	got, err := IntersectSets([][]int{s1, s2}, &stats)
+	got, err := intersectAll([][]int{s1, s2}, &stats)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -112,7 +158,7 @@ func TestIntersectAdaptivity(t *testing.T) {
 		s2[i] = 2*i + 1
 	}
 	stats = certificate.Stats{}
-	if _, err := IntersectSets([][]int{s1, s2}, &stats); err != nil {
+	if _, err := intersectAll([][]int{s1, s2}, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if stats.ProbePoints < n/2 {
@@ -145,7 +191,7 @@ func TestBowtieBasic(t *testing.T) {
 	r := []int{1, 2, 5}
 	s := [][]int{{1, 10}, {1, 20}, {2, 10}, {3, 30}, {5, 20}}
 	ty := []int{10, 20, 40}
-	got, err := Bowtie(r, s, ty, nil)
+	got, err := bowtieAll(r, s, ty, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +203,11 @@ func TestBowtieBasic(t *testing.T) {
 }
 
 func TestBowtieEmpty(t *testing.T) {
-	got, err := Bowtie(nil, nil, nil, nil)
+	got, err := bowtieAll(nil, nil, nil, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
-	got, err = Bowtie([]int{1}, [][]int{{1, 2}}, nil, nil)
+	got, err = bowtieAll([]int{1}, [][]int{{1, 2}}, nil, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("got %v, %v", got, err)
 	}
@@ -183,7 +229,7 @@ func TestBowtieRandom(t *testing.T) {
 			s = append(s, []int{rng.Intn(dom), rng.Intn(dom)})
 		}
 		r, ty := mk(), mk()
-		got, err := Bowtie(r, s, ty, nil)
+		got, err := bowtieAll(r, s, ty, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -208,7 +254,7 @@ func TestBowtieHiddenGapInstance(t *testing.T) {
 		s = append(s, []int{1, n + 1 + i}, []int{3, i})
 	}
 	var stats certificate.Stats
-	got, err := Bowtie([]int{2}, s, []int{n + 1}, &stats)
+	got, err := bowtieAll([]int{2}, s, []int{n + 1}, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,55 +429,6 @@ func TestTriangleSelfLoopGraph(t *testing.T) {
 	want := refTriangle(edges, edges, edges)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v want %v", got, want)
-	}
-}
-
-func TestIntersectMergeVariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 60; trial++ {
-		m := 1 + rng.Intn(4)
-		sets := make([][]int, m)
-		for i := range sets {
-			n := rng.Intn(30)
-			for j := 0; j < n; j++ {
-				sets[i] = append(sets[i], rng.Intn(25))
-			}
-		}
-		a, err := IntersectSets(sets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := IntersectSetsMerge(sets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(a) == 0 && len(b) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("trial %d: interval-CDS %v vs merge-CDS %v (sets %v)", trial, a, b, sets)
-		}
-	}
-	if _, err := IntersectSetsMerge(nil, nil); err == nil {
-		t.Fatal("no sets must error")
-	}
-}
-
-func TestIntersectMergeAdaptivity(t *testing.T) {
-	// On the disjoint-blocks instance the merge variant gallops too.
-	const n = 10000
-	s1, s2 := make([]int, n), make([]int, n)
-	for i := 0; i < n; i++ {
-		s1[i] = i
-		s2[i] = n + i
-	}
-	var stats certificate.Stats
-	out, err := IntersectSetsMerge([][]int{s1, s2}, &stats)
-	if err != nil || len(out) != 0 {
-		t.Fatalf("got %v, %v", out, err)
-	}
-	if stats.ProbePoints > 6 {
-		t.Fatalf("ProbePoints = %d, want O(1)", stats.ProbePoints)
 	}
 }
 

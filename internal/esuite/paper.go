@@ -181,16 +181,17 @@ func intersection() *Experiment {
 	e := &Experiment{
 		ID: "E4", Key: "intersect", Ref: "Appendix H",
 		Title: "Set intersection: probes track certificate size, not input size",
-		Claim: "Theorem H.4: the block family has |C|=O(m), the interleaved family |C|=Θ(mN); " +
-			"probes follow |C|.",
+		Claim: "Theorem 2.7 on the general engine: the intersection S1(A) ⋈ … ⋈ Sm(A) is " +
+			"β-acyclic, so Minesweeper runs in Õ(|C|+Z) with Theorem 3.2's probe count, the " +
+			"bound Algorithm 8 reaches by hand (Theorem H.4). The block family has |C|=O(m), " +
+			"the interleaved family |C|=Θ(mN); probes follow |C|.",
 	}
-	type strategy = func([][]int, *certificate.Stats) ([]int, error)
-	add := func(name, family string, sets func(m, n int) [][]int, run strategy, m int, tracked bool, size func(Scale) int) {
+	add := func(name, family string, sets func(m, n int) [][]int, m int, tracked bool, size func(Scale) int) {
 		e.Cases = append(e.Cases, Case{
 			Name:   name,
 			Coords: []Coord{label("family", family), num("m", m)},
 			Small:  true, Full: true, Tracked: tracked,
-			Setup: func(s Scale) (*Instance, error) { return intersectInstance(sets(m, size(s)), run), nil },
+			Setup: join("minesweeper", func(s Scale) query { return intersectQuery(sets(m, size(s))) }),
 		})
 	}
 	sweep := func(s Scale) int {
@@ -200,26 +201,25 @@ func intersection() *Experiment {
 		return 20000
 	}
 	for _, m := range []int{2, 4, 8} {
-		add(fmt.Sprintf("SetIntersection/blocks/m=%d", m), "blocks", dataset.BlockSets, core.IntersectSets, m, false, sweep)
-		add(fmt.Sprintf("SetIntersection/interleaved/m=%d", m), "interleaved", dataset.InterleavedSets, core.IntersectSets, m, false, sweep)
+		add(fmt.Sprintf("SetIntersection/blocks/m=%d", m), "blocks", dataset.BlockSets, m, false, sweep)
+		add(fmt.Sprintf("SetIntersection/interleaved/m=%d", m), "interleaved", dataset.InterleavedSets, m, false, sweep)
 	}
-	add("SetIntersectionBlocks", "blocks", dataset.BlockSets, core.IntersectSets, 4, true, func(Scale) int { return 50000 })
-	add("SetIntersectionInterleaved", "interleaved", dataset.InterleavedSets, core.IntersectSets, 4, true, func(Scale) int { return 5000 })
-	// The k-way merge the adaptive entry point falls back to on balanced
-	// inputs, on the instance where it must touch every element.
-	add("SetIntersectionMergeVariant", "interleaved (merge)", dataset.InterleavedSets, core.IntersectSetsMerge, 4, true, func(Scale) int { return 5000 })
+	add("SetIntersectionBlocks", "blocks", dataset.BlockSets, 4, true, func(Scale) int { return 50000 })
+	add("SetIntersectionInterleaved", "interleaved", dataset.InterleavedSets, 4, true, func(Scale) int { return 5000 })
 	return e
 }
 
-func intersectInstance(sets [][]int, run func([][]int, *certificate.Stats) ([]int, error)) *Instance {
-	n := 0
-	for _, s := range sets {
-		n += len(s)
+// intersectQuery is the set intersection S1(A) ⋈ … ⋈ Sm(A).
+func intersectQuery(sets [][]int) query {
+	atoms := make([]core.AtomSpec, len(sets))
+	for i, s := range sets {
+		tuples := make([][]int, len(s))
+		for j := range s {
+			tuples[j] = s[j : j+1]
+		}
+		atoms[i] = core.AtomSpec{Name: fmt.Sprintf("S%d", i+1), Attrs: []string{"A"}, Tuples: tuples}
 	}
-	return &Instance{N: int64(n), Run: func(st *certificate.Stats) (int, error) {
-		out, err := run(sets, st)
-		return len(out), err
-	}}
+	return query{gao: []string{"A"}, atoms: atoms}
 }
 
 // --- E5: Appendix I bow-tie ------------------------------------------
@@ -228,24 +228,27 @@ func bowtie() *Experiment {
 	e := &Experiment{
 		ID: "E5", Key: "bowtie", Ref: "Appendix I",
 		Title: "Bow-tie query: near instance-optimal probes on the hidden-gap family",
-		Claim: "Theorem I.4: O((|C|+Z) log N); the hidden-gap family has |C|=O(1), so probes " +
-			"stay flat as N grows.",
+		Claim: "Theorem 2.7 on the general engine: R(X) ⋈ S(X,Y) ⋈ T(Y) is β-acyclic and " +
+			"[X Y] a nested elimination order, so Minesweeper runs in Õ(|C|+Z) with Theorem " +
+			"3.2's probe count, the bound Algorithm 9 reaches by hand (Theorem I.4). The " +
+			"hidden-gap family has |C|=O(1), so probes stay flat as N grows.",
 	}
 	for _, n := range []int{200, 800, 1000, 4000, 16000, 20000} {
 		e.Cases = append(e.Cases, Case{
 			Name:   sweepName("BowtieHiddenGap", "N", n, 20000),
 			Coords: []Coord{num("N", n)},
 			Small:  n <= 800 || n == 20000, Full: n >= 1000, Tracked: n == 20000,
-			Setup: func(Scale) (*Instance, error) {
+			Setup: join("minesweeper", lazy(func() ([]string, []core.AtomSpec) {
 				var s [][]int
 				for i := 1; i <= n; i++ {
 					s = append(s, []int{1, n + 1 + i}, []int{3, i})
 				}
-				return &Instance{N: int64(len(s)), Run: func(st *certificate.Stats) (int, error) {
-					out, err := core.Bowtie([]int{2}, s, []int{n + 1}, st)
-					return len(out), err
-				}}, nil
-			},
+				return []string{"X", "Y"}, []core.AtomSpec{
+					{Name: "R", Attrs: []string{"X"}, Tuples: [][]int{{2}}},
+					{Name: "S", Attrs: []string{"X", "Y"}, Tuples: s},
+					{Name: "T", Attrs: []string{"Y"}, Tuples: [][]int{{n + 1}}},
+				}
+			})),
 		})
 	}
 	return e

@@ -609,17 +609,17 @@ func micro() *Experiment {
 			tracked("TriangleListingGraph", func(Scale) (*Instance, error) {
 				return dyadicTriangle(dataset.TriangleGraph(dataset.PowerLawGraph(600, 8, true, 5))), nil
 			}),
-			// The adaptive set-intersection entry point on a skewed instance
-			// (one tiny set against large ones), the regime where the
-			// gap-skipping CDS strategy must win.
-			tracked("IntersectAdaptiveSkewed", func(Scale) (*Instance, error) {
+			// Set intersection with one tiny set against large ones, the
+			// skewed regime where remembered gaps let the probes skip
+			// whole blocks of the large sets.
+			tracked("IntersectAdaptiveSkewed", join("minesweeper", func(Scale) query {
 				sets := dataset.BlockSets(4, 50000)
 				small := make([]int, 0, len(sets[0])/64)
 				for i := 0; i < len(sets[0]); i += 64 {
 					small = append(small, sets[0][i])
 				}
-				return intersectInstance(append([][]int{small}, sets[1:]...), core.IntersectSetsAdaptive), nil
-			}),
+				return intersectQuery(append([][]int{small}, sets[1:]...))
+			})),
 		},
 	}
 }

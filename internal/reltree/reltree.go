@@ -142,22 +142,6 @@ func NewSorted(name string, arity int, sorted []int) *Tree {
 	return b.tree(name)
 }
 
-// NewFromValues builds the arity-1 search tree for a plain value list —
-// the shape the set-intersection solvers use. Its one level is the
-// sorted distinct values themselves, so there is nothing to append level
-// by level: sort a copy, compact it, wrap it. The input slice is not
-// retained.
-func NewFromValues(name string, values []int) (*Tree, error) {
-	for _, v := range values {
-		if v < 0 || v >= ordered.PosInf {
-			return nil, fmt.Errorf("reltree: relation %q: value %d out of domain [0, PosInf)", name, v)
-		}
-	}
-	vs := slices.Compact(rows.Sort(slices.Clone(values), 1))
-	builds.Add(1)
-	return &Tree{name: name, arity: 1, size: len(vs), flat: &flatIndex{levels: [][]int{vs}}, topN: len(vs)}, nil
-}
-
 // builder appends ascending rows to the CSR arrays of a tree under
 // construction. Full builds and merges share it, so both produce the
 // same layout by the same rule (see open).

@@ -11,8 +11,9 @@
 // The package also ships the classical comparison algorithms (Yannakakis,
 // Leapfrog Triejoin, NPRR-style generic join, pairwise hash plans) behind
 // the same API, the acyclicity/width theory needed to pick good attribute
-// orders, and specialized solvers for set intersection and the bow-tie
-// and triangle queries.
+// orders, wrappers for the paper's set-intersection and bow-tie queries
+// (plain queries on the general engine), and the specialized
+// dyadic-CDS solver for the triangle query.
 //
 // Quick start:
 //
@@ -591,37 +592,80 @@ func (q *Query) atomSpecs() []core.AtomSpec {
 	return specs
 }
 
-// Intersect computes the intersection of the given integer sets with the
-// specialized Minesweeper of Appendix H, picking the CDS strategy per
-// instance (Appendix H.2): the minimum-comparison merge when the sets
-// have comparable sizes, and the gap-skipping interval list (Algorithm
-// 8) once the size skew makes remembered gaps pay for themselves. The
-// returned stats include the FindGap count, the paper's
-// certificate-size estimate.
+// Intersect computes the intersection of the given integer sets as the
+// query S1(A) ⋈ … ⋈ Sm(A) on the general engine. The query is
+// β-acyclic, so the run is Õ(|C| + Z) (Theorem 2.7), the bound of the
+// paper's special-case Algorithm 8 (Theorem H.4): disjoint blocks cost
+// O(1) probes whatever the set sizes. The returned stats include the
+// FindGap count, the paper's certificate-size estimate.
 //
-// At least one set is required: the intersection of zero sets is the
-// whole (unbounded) domain, which cannot be materialized, so
-// Intersect() — and Intersect(nil...) with an empty slice — returns an
-// error. A present-but-empty set is fine and yields an empty
-// intersection.
+// Sets may be unsorted and hold duplicates; the result is the sorted
+// distinct intersection. At least one set is required: the intersection
+// of zero sets is the whole (unbounded) domain, which cannot be
+// materialized, so Intersect() — and Intersect(nil...) with an empty
+// slice — returns an error. A present-but-empty set is fine and yields
+// an empty intersection.
 func Intersect(sets ...[]int) ([]int, Stats, error) {
 	if len(sets) == 0 {
 		return nil, Stats{}, fmt.Errorf("minesweeper: Intersect needs at least one set (the empty intersection is the whole domain)")
 	}
-	var s Stats
-	out, err := core.IntersectSetsAdaptive(sets, &s)
-	if err != nil {
-		err = fmt.Errorf("minesweeper: %w", err)
+	atoms := make([]Atom, len(sets))
+	for i, s := range sets {
+		var err error
+		if atoms[i], err = setAtom(fmt.Sprintf("S%d", i+1), "A", s); err != nil {
+			return nil, Stats{}, err
+		}
 	}
-	return out, s, err
+	q, err := NewQuery(atoms...)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	var out []int
+	stats, err := ExecuteStream(q, nil, func(t []int) bool {
+		out = append(out, t[0])
+		return true
+	})
+	return out, stats, err
 }
 
-// BowtieJoin computes R(X) ⋈ S(X,Y) ⋈ T(Y) with the near
-// instance-optimal Algorithm 9 of Appendix I. s rows are (x, y) pairs.
+// BowtieJoin computes the bow-tie query R(X) ⋈ S(X,Y) ⋈ T(Y) of
+// Appendix I on the general engine under the GAO [X Y], so the pairs
+// come in lexicographic (x, y) order. [X Y] is a nested elimination
+// order, so the run is Õ(|C| + Z) (Theorem 2.7), the bound of the
+// paper's special-case Algorithm 9 (Theorem I.4). s rows are (x, y)
+// pairs; any input may be unsorted and hold duplicates.
 func BowtieJoin(r []int, s [][]int, t []int) ([][]int, Stats, error) {
-	var st Stats
-	out, err := core.Bowtie(r, s, t, &st)
-	return out, st, err
+	rAtom, err := setAtom("R", "X", r)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	sRel, err := NewRelation("S", 2, s)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	tAtom, err := setAtom("T", "Y", t)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	q, err := NewQuery(rAtom, Atom{Rel: sRel, Vars: []string{"X", "Y"}}, tAtom)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	res, err := Execute(q, &Options{GAO: []string{"X", "Y"}})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return res.Tuples, res.Stats, nil
+}
+
+// setAtom binds attr to the unary relation name over a set's values.
+func setAtom(name, attr string, vals []int) (Atom, error) {
+	tuples := make([][]int, len(vals))
+	for i := range vals {
+		tuples[i] = vals[i : i+1]
+	}
+	rel, err := NewRelation(name, 1, tuples)
+	return Atom{Rel: rel, Vars: []string{attr}}, err
 }
 
 // TriangleJoin computes R(A,B) ⋈ S(B,C) ⋈ T(A,C) with the dyadic-CDS
@@ -631,7 +675,7 @@ func TriangleJoin(r, s, t [][]int) ([][]int, Stats, error) {
 	var st Stats
 	out, err := core.Triangle(r, s, t, &st)
 	if err != nil {
-		return nil, st, err
+		return nil, st, fmt.Errorf("minesweeper: %w", err)
 	}
 	baseline.SortTuples(out)
 	return out, st, nil

@@ -3,8 +3,12 @@ package minesweeper
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
+
+	"minesweeper/internal/dataset"
 )
 
 func rel(t *testing.T, name string, arity int, tuples [][]int) *Relation {
@@ -199,6 +203,9 @@ func TestExecuteBadGAO(t *testing.T) {
 	}
 }
 
+// TestIntersectAPI: the wrapper reads unsorted sets with duplicates and
+// returns the sorted distinct intersection, checked against a counting
+// reference on random instances too.
 func TestIntersectAPI(t *testing.T) {
 	out, stats, err := Intersect([]int{1, 3, 5}, []int{3, 5, 9}, []int{5, 3})
 	if err != nil {
@@ -210,8 +217,47 @@ func TestIntersectAPI(t *testing.T) {
 	if stats.CertificateEstimate() == 0 {
 		t.Fatal("no FindGaps counted")
 	}
+	if out, _, err := Intersect([]int{4, 2, 2, 9}); err != nil || !reflect.DeepEqual(out, []int{2, 4, 9}) {
+		t.Fatalf("Intersect(one set) = %v, %v", out, err)
+	}
+	if out, _, err := Intersect([]int{1, 2}, []int{}); err != nil || len(out) != 0 {
+		t.Fatalf("Intersect with an empty set = %v, %v", out, err)
+	}
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 50; trial++ {
+		sets := make([][]int, 1+rng.Intn(4))
+		in := map[int]map[int]bool{}
+		for i := range sets {
+			for j, n := 0, rng.Intn(30); j < n; j++ {
+				v := rng.Intn(20)
+				sets[i] = append(sets[i], v)
+				if in[v] == nil {
+					in[v] = map[int]bool{}
+				}
+				in[v][i] = true
+			}
+		}
+		var want []int
+		for v := 0; v < 20; v++ {
+			if len(in[v]) == len(sets) {
+				want = append(want, v)
+			}
+		}
+		got, _, err := Intersect(sets...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: sets=%v got %v want %v", trial, sets, got, want)
+		}
+	}
 }
 
+// TestBowtieAPI: the wrapper's pairs are the bow-tie's, in strictly
+// ascending lexicographic (x, y) order, on random instances with
+// duplicates; empty inputs give empty outputs, and the hidden-gap
+// instance after Algorithm 9 (R={2}, T={N+1}, S = {(1, N+1+i)} ∪
+// {(3, i)}) costs O(1) probes.
 func TestBowtieAPI(t *testing.T) {
 	out, _, err := BowtieJoin([]int{1, 2}, [][]int{{1, 5}, {2, 6}, {3, 5}}, []int{5})
 	if err != nil {
@@ -219,6 +265,96 @@ func TestBowtieAPI(t *testing.T) {
 	}
 	if !reflect.DeepEqual(out, [][]int{{1, 5}}) {
 		t.Fatalf("out = %v", out)
+	}
+	for _, in := range []struct {
+		r, t []int
+		s    [][]int
+	}{{}, {r: []int{1}, s: [][]int{{1, 2}}}} {
+		if out, _, err := BowtieJoin(in.r, in.s, in.t); err != nil || len(out) != 0 {
+			t.Fatalf("BowtieJoin(%v, %v, %v) = %v, %v", in.r, in.s, in.t, out, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 60; trial++ {
+		dom := 1 + rng.Intn(8)
+		mk := func() ([]int, map[int]bool) {
+			var vals []int
+			set := map[int]bool{}
+			for i, n := 0, rng.Intn(10); i < n; i++ {
+				v := rng.Intn(dom)
+				vals = append(vals, v)
+				set[v] = true
+			}
+			return vals, set
+		}
+		r, inR := mk()
+		ty, inT := mk()
+		var s [][]int
+		inS := map[[2]int]bool{}
+		for i, n := 0, rng.Intn(20); i < n; i++ {
+			p := []int{rng.Intn(dom), rng.Intn(dom)}
+			s = append(s, p)
+			inS[[2]int{p[0], p[1]}] = true
+		}
+		var want [][]int
+		for x := 0; x < dom; x++ {
+			for y := 0; y < dom; y++ {
+				if inR[x] && inS[[2]int{x, y}] && inT[y] {
+					want = append(want, []int{x, y})
+				}
+			}
+		}
+		got, _, err := BowtieJoin(r, s, ty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 0 || len(want) != 0 {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: r=%v s=%v t=%v got %v want %v (lexicographic)", trial, r, s, ty, got, want)
+			}
+		}
+	}
+	const n = 200
+	var s [][]int
+	for i := 1; i <= n; i++ {
+		s = append(s, []int{1, n + 1 + i}, []int{3, i})
+	}
+	out, st, err := BowtieJoin([]int{2}, s, []int{n + 1})
+	if err != nil || len(out) != 0 {
+		t.Fatalf("hidden gap: %v, %v", out, err)
+	}
+	if st.ProbePoints > 8 {
+		t.Fatalf("hidden gap: ProbePoints = %d; the certificate is O(1)", st.ProbePoints)
+	}
+}
+
+// TestIntersectCountersMatchGolden: the public wrapper does exactly the
+// engine work the E-suite records for E4's tracked instances, so
+// building relations and a query around the sets adds no probe,
+// FindGap, comparison, constraint or CDS operation.
+func TestIntersectCountersMatchGolden(t *testing.T) {
+	golden, err := os.ReadFile("internal/esuite/testdata/counters.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sets := range map[string][][]int{
+		"SetIntersectionInterleaved": dataset.InterleavedSets(4, 5000),
+		"SetIntersectionBlocks":      dataset.BlockSets(4, 50000),
+	} {
+		var want []string
+		for _, line := range strings.Split(string(golden), "\n") {
+			if f := strings.Fields(line); len(f) > 5 && f[0] == name {
+				want = f[1:6] // probes findgaps comparisons constraints cdsops
+			}
+		}
+		_, st, err := Intersect(sets...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := strings.Fields(fmt.Sprint(st.ProbePoints, st.FindGaps, st.Comparisons, st.Constraints, st.CDSOps))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Intersect counters %v, counters.golden %v", name, got, want)
+		}
 	}
 }
 

@@ -478,7 +478,8 @@ func TestStreamVarsOrder(t *testing.T) {
 }
 
 // TestIntersectZeroSets: the public API wraps the internal error and
-// stays consistent for empty input forms.
+// stays consistent for empty input forms, and every special-query
+// wrapper's errors carry the package prefix.
 func TestIntersectZeroSets(t *testing.T) {
 	if _, _, err := Intersect(); err == nil || !strings.HasPrefix(err.Error(), "minesweeper:") {
 		t.Fatalf("Intersect() error = %v, want minesweeper:-prefixed", err)
@@ -491,6 +492,16 @@ func TestIntersectZeroSets(t *testing.T) {
 	out, _, err := Intersect(nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("Intersect(nil) = %v, %v", out, err)
+	}
+	for name, run := range map[string]func() error{
+		"Intersect":     func() error { _, _, err := Intersect([]int{1}, []int{-1}); return err },
+		"BowtieJoin":    func() error { _, _, err := BowtieJoin([]int{-1}, nil, nil); return err },
+		"TriangleJoin":  func() error { _, _, err := TriangleJoin([][]int{{1}}, nil, nil); return err },
+		"ListTriangles": func() error { _, _, err := ListTriangles([][]int{{1, -1}}); return err },
+	} {
+		if err := run(); err == nil || !strings.HasPrefix(err.Error(), "minesweeper:") {
+			t.Fatalf("%s on bad input: error = %v, want minesweeper:-prefixed", name, err)
+		}
 	}
 }
 
